@@ -54,9 +54,13 @@ present) a small kernel that runs the AND/XOR/ITE recursions directly
 over them — same tables, same hash functions, same normalization, so
 Python and C interoperate entry-for-entry.  The kernel allocates only
 from a pre-extended free list and pauses cooperatively (budget
-exhausted, free list empty, table at load limit) so growth, GC and the
-allocation tick stay under Python control.  Without a compiler the
-pure-Python loops below carry identical semantics.
+exhausted, free list empty, table at load limit) so the decisions to
+grow, collect or fire the allocation tick stay in Python.  The table
+bookkeeping those decisions run — unique-table growth and rebuild,
+free-list threading, the GC mark and sweep, compaction — has kernel
+twins as well.  Without a compiler (or with ``use_kernel=False``) the
+pure-Python loops below carry identical semantics, down to the table
+layout and node numbering.
 
 **Levels vs variable ids.**  v2 equated a variable's id with its order
 position.  Sifting-based reordering (``repro.bdd.reorder``) permutes
@@ -175,6 +179,8 @@ class BddManager:
         self.gc_reclaimed = 0
         self.reorder_runs = 0
         self.reorder_swaps = 0
+        self.utab_grows = 0
+        self.compactions = 0
         # Auto-reorder trigger state (see enable_auto_reorder).
         self._reorder_enabled = False
         self._reorder_bounds: Tuple[int, Optional[int]] = (0, None)
@@ -341,41 +347,56 @@ class BddManager:
         return node
 
     def _grow_utab(self) -> None:
+        """Double the unique table, re-inserting its entries in slot order."""
         size = self._usize << 1
         mask = size - 1
         new = array("i", bytes(4 * size))
-        _var = self._var
-        _lo = self._lo
-        _hi = self._hi
-        for n in self._utab:
-            if n:
-                slot = (_lo[n] * _UH1 + _hi[n] * _UH2 + _var[n]) & mask
-                while new[slot]:
-                    slot = (slot + 1) & mask
-                new[slot] = n
+        if self._klib is not None:
+            ffi = self._kffi
+            self._kbufs = None  # the views pin the old table
+            self._klib.bdd_utab_rehash(
+                ffi.from_buffer("int32_t[]", self._utab), self._usize,
+                ffi.from_buffer("int32_t[]", new), mask, *self._kcols())
+        else:
+            _var = self._var
+            _lo = self._lo
+            _hi = self._hi
+            for n in self._utab:
+                if n:
+                    slot = (_lo[n] * _UH1 + _hi[n] * _UH2 + _var[n]) & mask
+                    while new[slot]:
+                        slot = (slot + 1) & mask
+                    new[slot] = n
         self._utab = new
         self._usize = size
         self._umask = mask
         self._tver += 1
+        self.utab_grows += 1
         self._maybe_grow_cache()
 
     def _rebuild_utab(self) -> None:
-        """Rebuild the unique table from the live columns (after GC/reorder)."""
+        """Rebuild the unique table from the live columns (after GC/compact)."""
         size = _MIN_UTAB
         need = self._live << 1
         while size < need:
             size <<= 1
         mask = size - 1
         new = array("i", bytes(4 * size))
-        _var = self._var
-        _lo = self._lo
-        _hi = self._hi
-        for n in range(1, len(_var)):
-            if _var[n] >= 0:
-                slot = (_lo[n] * _UH1 + _hi[n] * _UH2 + _var[n]) & mask
-                while new[slot]:
-                    slot = (slot + 1) & mask
-                new[slot] = n
+        if self._klib is not None:
+            ffi = self._kffi
+            self._kbufs = None
+            self._klib.bdd_utab_rebuild(ffi.from_buffer("int32_t[]", new),
+                                        mask, *self._kcols(), len(self._var))
+        else:
+            _var = self._var
+            _lo = self._lo
+            _hi = self._hi
+            for n in range(1, len(_var)):
+                if _var[n] >= 0:
+                    slot = (_lo[n] * _UH1 + _hi[n] * _UH2 + _var[n]) & mask
+                    while new[slot]:
+                        slot = (slot + 1) & mask
+                    new[slot] = n
         self._utab = new
         self._usize = size
         self._umask = mask
@@ -541,18 +562,39 @@ class BddManager:
             count = self._live >> 2
             if count < 4096:
                 count = 4096
+        elif count <= 0:
+            raise ValueError("free-list extension needs a positive count")
         self._kbufs = None
         base = len(self._var)
         if base + count > 0x7FFFFFFF:
             # The int32 unique table addresses at most 2**31 nodes
             # (~43 GB of columns) — fail loudly, never wrap.
             raise MemoryError("BDD node store exceeds 2**31 nodes")
-        self._var.extend(array("i", (-2,)) * count)
-        chain = array("q", range(base + 1, base + count + 1))
-        chain[count - 1] = self._free
-        self._lo.extend(chain)
-        self._hi.extend(array("q", bytes(8 * count)))
+        if self._klib is not None:
+            zeros = memoryview(bytes(8 * count))
+            self._var.frombytes(zeros[:4 * count])
+            self._lo.frombytes(zeros)
+            self._hi.frombytes(zeros)
+            self._klib.bdd_thread_free(*self._kcols(), base, count,
+                                       self._free)
+        else:
+            self._var.extend(array("i", (-2,)) * count)
+            chain = array("q", range(base + 1, base + count + 1))
+            chain[count - 1] = self._free
+            self._lo.extend(chain)
+            self._hi.extend(array("q", bytes(8 * count)))
         self._free = base
+
+    def _kcols(self) -> tuple:
+        """Kernel views of the node columns, for one bookkeeping call.
+
+        Callers drop them before returning: a column cannot resize
+        while a view is alive.
+        """
+        ffi = self._kffi
+        return (ffi.from_buffer("int32_t[]", self._var),
+                ffi.from_buffer("int64_t[]", self._lo),
+                ffi.from_buffer("int64_t[]", self._hi))
 
     def _kernel_bind(self) -> None:
         """(Re)bind the kernel context to the current flat tables."""
@@ -1729,6 +1771,8 @@ class BddManager:
         Dead nodes go on the free list, keeping all surviving edge
         values unchanged (no re-rooting, unlike :meth:`compact`); the
         unique table is rebuilt and the computed caches invalidated.
+        With the native kernel the scan stays here and the mark and
+        sweep run in C.
         """
         nvals = len(self._var)
         if self._live > self.peak_nodes:
@@ -1736,8 +1780,6 @@ class BddManager:
         _var = self._var
         _lo = self._lo
         _hi = self._hi
-        mark = bytearray(nvals)
-        mark[0] = 1
         stack: List[int] = [e >> 1 for e in self._refs]
         stack.extend(e >> 1 for e in extra_roots)
         for lst in self._active_stacks:
@@ -1758,23 +1800,32 @@ class BddManager:
                                     i = z >> 1
                                     if 0 < i < nvals and _var[i] >= 0:
                                         stack.append(i)
-        while stack:
-            i = stack.pop()
-            if i <= 0 or i >= nvals or mark[i] or _var[i] < 0:
-                continue
-            mark[i] = 1
-            stack.append(_lo[i] >> 1)
-            stack.append(_hi[i] >> 1)
-        freed = 0
-        free = self._free
-        for i in range(1, nvals):
-            if not mark[i] and _var[i] >= 0:
-                _var[i] = -2
-                _lo[i] = free
-                _hi[i] = 0  # keep stored high edges regular everywhere
-                free = i
-                freed += 1
-        self._free = free
+        if self._klib is not None:
+            ffi = self._kffi
+            bits, _ = self._kmark(stack, nvals)
+            head = ffi.new("int64_t *", self._free)
+            freed = self._klib.bdd_sweep(*self._kcols(), nvals, bits, head)
+            self._free = head[0]
+        else:
+            mark = bytearray(nvals)
+            mark[0] = 1
+            while stack:
+                i = stack.pop()
+                if i <= 0 or i >= nvals or mark[i] or _var[i] < 0:
+                    continue
+                mark[i] = 1
+                stack.append(_lo[i] >> 1)
+                stack.append(_hi[i] >> 1)
+            freed = 0
+            free = self._free
+            for i in range(1, nvals):
+                if not mark[i] and _var[i] >= 0:
+                    _var[i] = -2
+                    _lo[i] = free
+                    _hi[i] = 0  # keep stored high edges regular everywhere
+                    free = i
+                    freed += 1
+            self._free = free
         self._live -= freed
         self.gc_runs += 1
         self.gc_reclaimed += freed
@@ -1786,6 +1837,21 @@ class BddManager:
         if self._gc_enabled and (self._live << 1) > self._gc_threshold:
             self._gc_threshold = self._live << 1
         return freed
+
+    def _kmark(self, seeds: List[int], nvals: int) -> tuple:
+        """Kernel mark phase from the ``seeds`` node indices.
+
+        Returns the bitmap (one bit per node, the terminal's set) and
+        the number of marked nodes.
+        """
+        ffi = self._kffi
+        bits = ffi.new("uint64_t[]", (nvals + 63) >> 6)
+        marked = self._klib.bdd_mark(*self._kcols(), nvals,
+                                     ffi.new("int64_t[]", seeds), len(seeds),
+                                     bits)
+        if marked < 0:
+            raise MemoryError("BDD mark stack allocation failed")
+        return bits, marked
 
     # -- maintenance -------------------------------------------------------------------------------
 
@@ -1833,7 +1899,8 @@ class BddManager:
         callers wanting per-phase figures diff two snapshots.  The
         ``ite_*`` names cover the whole apply layer (AND, XOR and ITE
         share one tagged cache) — the names predate the v2 split and
-        stay for metric stability.  ``bytes`` is a point-in-time gauge.
+        stay for metric stability.  ``bytes`` is a point-in-time gauge
+        and ``kernel`` a flag: 1 when the native kernel is attached.
         """
         return {
             "nodes": self._live,
@@ -1850,6 +1917,9 @@ class BddManager:
             "gc_reclaimed": self.gc_reclaimed,
             "reorder_runs": self.reorder_runs,
             "reorder_swaps": self.reorder_swaps,
+            "utab_grows": self.utab_grows,
+            "compactions": self.compactions,
+            "kernel": int(self._klib is not None),
             "bytes": self.bytes_used(),
         }
 
@@ -1860,11 +1930,27 @@ class BddManager:
         edges other than the returned ones become invalid (protected
         references are remapped in place); callers that only need dead
         nodes reclaimed should prefer :meth:`gc`, which keeps edges
-        stable.  Kept for the v2 engine contract and for callers that
-        want the columns themselves shrunk.
+        stable.  The incremental synthesis engine compacts after every
+        depth: the surviving nodes are copied into fresh columns sized
+        exactly to them, in their old relative order, so the columns
+        shrink along with the live set and the free list is empty.
         """
         if self._live > self.peak_nodes:
             self.peak_nodes = self._live
+        self.compactions += 1
+        if self._klib is not None:
+            remapped = self._compact_kernel(roots)
+        else:
+            remapped = self._compact_py(roots)
+        self._free = 0
+        self._live = len(self._var)
+        self._rebuild_utab()
+        self._bump_gen()
+        self._quant_cache.clear()
+        return remapped
+
+    def _compact_py(self, roots: Sequence[int]) -> List[int]:
+        """:meth:`compact`'s mark, copy and remap: the reference loops."""
         reachable: Set[int] = {0}
         stack = [root >> 1 for root in roots]
         stack.extend(edge >> 1 for edge in self._refs)
@@ -1895,14 +1981,42 @@ class BddManager:
                 new_lo.append((remap[old_lo >> 1] << 1) | (old_lo & 1))
                 new_hi.append((remap[old_hi >> 1] << 1) | (old_hi & 1))
         self._var, self._lo, self._hi = new_var, new_lo, new_hi
-        self._free = 0
-        self._live = len(new_var)
         self._refs = {(remap[edge >> 1] << 1) | (edge & 1): count
                       for edge, count in self._refs.items()}
-        self._rebuild_utab()
-        self._bump_gen()
-        self._quant_cache.clear()
         return [(remap[root >> 1] << 1) | (root & 1) for root in roots]
+
+    def _compact_kernel(self, roots: Sequence[int]) -> List[int]:
+        """:meth:`compact`'s mark, copy and remap, run in the kernel.
+
+        Marks into a bitmap, then copies the marked nodes into new
+        columns allocated at exactly the marked count.  New ids are
+        ranks in the bitmap, which is the sorted order the Python path
+        uses, so both paths number nodes identically.
+        """
+        ffi = self._kffi
+        edges = list(roots)
+        nroots = len(edges)
+        edges.extend(self._refs)
+        nvals = len(self._var)
+        if any(edge < 0 or edge >> 1 >= nvals for edge in edges):
+            raise ValueError("compact: edge outside the node store")
+        self._kbufs = None
+        bits, live = self._kmark([edge >> 1 for edge in edges], nvals)
+        new_var = array("i", bytes(4 * live))
+        new_lo = array("q", bytes(8 * live))
+        new_hi = array("q", bytes(8 * live))
+        out = ffi.new("int64_t[]", edges)
+        if self._klib.bdd_compact_copy(
+                *self._kcols(), nvals, bits,
+                ffi.from_buffer("int32_t[]", new_var),
+                ffi.from_buffer("int64_t[]", new_lo),
+                ffi.from_buffer("int64_t[]", new_hi),
+                out, len(edges)) < 0:
+            raise MemoryError("BDD compaction rank allocation failed")
+        self._var, self._lo, self._hi = new_var, new_lo, new_hi
+        edges = ffi.unpack(out, len(edges))
+        self._refs = dict(zip(edges[nroots:], self._refs.values()))
+        return edges[:nroots]
 
     # -- export --------------------------------------------------------------------------------------
 

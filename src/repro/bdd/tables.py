@@ -11,16 +11,28 @@ byte the same table layout as the pure-Python loops in
 ``repro.bdd.manager``.  Python and C interoperate on one set of
 tables — a cache entry written by either side hits in the other.
 
-**Cooperative pauses.**  The kernel never grows tables, never runs GC
-and never calls back into Python.  It allocates nodes only from the
-free list and decrements a caller-set allocation budget; when the
-budget hits zero, the free list empties, or the unique table reaches
-its load limit, the recursion unwinds returning ``-1`` and the manager
-services the pause (fire the allocation tick, extend the columns, grow
-the table, collect) before re-invoking the same call.  Replays are
-cheap: everything computed before the pause is already in the computed
-cache.  This keeps every policy decision — deadlines, GC thresholds,
-reordering — in Python, where the rest of the repo can observe it.
+**Cooperative pauses.**  The apply recursions never call back into
+Python.  They allocate nodes only from the free list and decrement a
+caller-set allocation budget; when the budget hits zero, the free list
+empties, or the unique table reaches its load limit, the recursion
+unwinds returning ``-1`` and the manager services the pause (fire the
+allocation tick, extend the columns, grow the table, collect) before
+re-invoking the same call.  Replays are cheap: everything computed
+before the pause is already in the computed cache.  This keeps every
+policy decision — deadlines, GC thresholds, reordering, when to grow
+— in Python, where the rest of the repo can observe it.
+
+**Table bookkeeping.**  The loops that service those decisions are
+kernel routines too, each the twin of a pure-Python loop in the
+manager: the unique-table rehash (``_grow_utab``) and rebuild
+(``_rebuild_utab``), free-list threading (``_extend_free``), the mark
+phase shared by ``gc`` and ``compact`` (a bitmap, one bit per node),
+the GC sweep, and compaction's copy into fresh exactly sized columns
+with nodes renumbered by their rank in the bitmap.  They visit slots
+and nodes in the same order with the same hashes as the Python loops,
+so both produce byte-identical tables, columns and edges.  Python
+still allocates every column and table, so array ownership and
+resizing stay on one side.
 
 **Gating.**  ``load_kernel()`` memoizes a build attempt; if ``cffi``
 or a C compiler is missing, or ``REPRO_BDD_KERNEL=0`` is set, it
@@ -75,10 +87,27 @@ typedef struct {
 int64_t bdd_and(BddCtx *c, int64_t f, int64_t g);
 int64_t bdd_xor(BddCtx *c, int64_t f, int64_t g);
 int64_t bdd_ite(BddCtx *c, int64_t f, int64_t g, int64_t h);
+void bdd_utab_rehash(const int32_t *old, int64_t oldsize, int32_t *utab,
+                     int64_t mask, const int32_t *var, const int64_t *lo,
+                     const int64_t *hi);
+int64_t bdd_utab_rebuild(int32_t *utab, int64_t mask, const int32_t *var,
+                         const int64_t *lo, const int64_t *hi, int64_t nvals);
+void bdd_thread_free(int32_t *var, int64_t *lo, int64_t *hi, int64_t base,
+                     int64_t count, int64_t tail);
+int64_t bdd_mark(const int32_t *var, const int64_t *lo, const int64_t *hi,
+                 int64_t nvals, const int64_t *roots, int64_t nroots,
+                 uint64_t *bits);
+int64_t bdd_sweep(int32_t *var, int64_t *lo, int64_t *hi, int64_t nvals,
+                  const uint64_t *bits, int64_t *freehead);
+int64_t bdd_compact_copy(const int32_t *var, const int64_t *lo,
+                         const int64_t *hi, int64_t nvals,
+                         const uint64_t *bits, int32_t *nvar, int64_t *nlo,
+                         int64_t *nhi, int64_t *edges, int64_t nedges);
 """
 
 _SOURCE = r"""
 #include <stdint.h>
+#include <stdlib.h>
 
 typedef struct {
     int32_t *var;
@@ -366,6 +395,179 @@ int64_t bdd_ite(BddCtx *c, int64_t f, int64_t g, int64_t h)
     c->cres[slot] = res;
     c->misses++;
     return res ^ comp;
+}
+
+/* ---- table bookkeeping ------------------------------------------------
+ * Each routine below mirrors one pure-Python loop in BddManager and walks
+ * slots and nodes in the same order with the same hash, so both produce
+ * byte-identical tables and columns. */
+
+#define UHASH(l, h, v, mask) (((uint64_t)(l) * 10000019u \
+        + (uint64_t)(h) * 8388617u + (uint64_t)(v)) & (uint64_t)(mask))
+#define MARKED(bits, i) (((bits)[(i) >> 6] >> ((i) & 63)) & 1u)
+
+/* _grow_utab: re-insert every occupied slot of ``old``, in slot order,
+ * into the zeroed table ``utab``. */
+void bdd_utab_rehash(const int32_t *old, int64_t oldsize, int32_t *utab,
+                     int64_t mask, const int32_t *var, const int64_t *lo,
+                     const int64_t *hi)
+{
+    int64_t i;
+    int32_t n;
+    uint64_t slot;
+    for (i = 0; i < oldsize; i++) {
+        n = old[i];
+        if (!n)
+            continue;
+        slot = UHASH(lo[n], hi[n], var[n], mask);
+        while (utab[slot])
+            slot = (slot + 1) & (uint64_t)mask;
+        utab[slot] = n;
+    }
+}
+
+/* _rebuild_utab: insert every live node, in index order, into the
+ * zeroed table ``utab``; returns the number inserted. */
+int64_t bdd_utab_rebuild(int32_t *utab, int64_t mask, const int32_t *var,
+                         const int64_t *lo, const int64_t *hi, int64_t nvals)
+{
+    int64_t n, count = 0;
+    uint64_t slot;
+    for (n = 1; n < nvals; n++) {
+        if (var[n] < 0)
+            continue;
+        slot = UHASH(lo[n], hi[n], var[n], mask);
+        while (utab[slot])
+            slot = (slot + 1) & (uint64_t)mask;
+        utab[slot] = (int32_t)n;
+        count++;
+    }
+    return count;
+}
+
+/* _extend_free: thread the ``count`` fresh slots from ``base`` onto the
+ * free list in index order, the last one pointing at ``tail``. */
+void bdd_thread_free(int32_t *var, int64_t *lo, int64_t *hi, int64_t base,
+                     int64_t count, int64_t tail)
+{
+    int64_t i, end = base + count;
+    for (i = base; i < end; i++) {
+        var[i] = -2;
+        lo[i] = i + 1;
+        hi[i] = 0;
+    }
+    lo[end - 1] = tail;
+}
+
+/* Mark phase shared by gc() and compact(): set the bit of the terminal
+ * and of every live node reachable from the root *node indices* (out of
+ * range and free indices are skipped, as the conservative scan needs).
+ * ``bits`` must be zeroed, one bit per node.  Returns the number of
+ * marked nodes including the terminal, or -1 when out of memory. */
+int64_t bdd_mark(const int32_t *var, const int64_t *lo, const int64_t *hi,
+                 int64_t nvals, const int64_t *roots, int64_t nroots,
+                 uint64_t *bits)
+{
+    int64_t cap = 1024, top = 0, count = 1, r, i, c, k;
+    int32_t *stack = malloc((size_t)cap * sizeof(int32_t)), *grown;
+    if (!stack)
+        return -1;
+    bits[0] |= 1u;
+    for (r = 0; r <= nroots; r++) {
+        if (r < nroots) {
+            i = roots[r];
+            if (i <= 0 || i >= nvals || var[i] < 0 || MARKED(bits, i))
+                continue;
+            bits[i >> 6] |= (uint64_t)1 << (i & 63);
+            count++;
+            stack[top++] = (int32_t)i;
+        }
+        while (top) {
+            i = stack[--top];
+            for (k = 0; k < 2; k++) {
+                c = (k ? hi[i] : lo[i]) >> 1;
+                if (c <= 0 || c >= nvals || var[c] < 0 || MARKED(bits, c))
+                    continue;
+                bits[c >> 6] |= (uint64_t)1 << (c & 63);
+                count++;
+                if (top == cap) {
+                    cap <<= 1;
+                    grown = realloc(stack, (size_t)cap * sizeof(int32_t));
+                    if (!grown) {
+                        free(stack);
+                        return -1;
+                    }
+                    stack = grown;
+                }
+                stack[top++] = (int32_t)c;
+            }
+        }
+    }
+    free(stack);
+    return count;
+}
+
+/* gc() sweep: thread every unmarked live node onto the free list, in
+ * index order; returns the number freed and updates ``*freehead``. */
+int64_t bdd_sweep(int32_t *var, int64_t *lo, int64_t *hi, int64_t nvals,
+                  const uint64_t *bits, int64_t *freehead)
+{
+    int64_t i, freed = 0, head = *freehead;
+    for (i = 1; i < nvals; i++) {
+        if (var[i] < 0 || MARKED(bits, i))
+            continue;
+        var[i] = -2;
+        lo[i] = head;
+        hi[i] = 0;
+        head = i;
+        freed++;
+    }
+    *freehead = head;
+    return freed;
+}
+
+/* compact() copy: marked nodes keep their relative order and are
+ * renumbered by rank (marked nodes below them, from a per-word popcount
+ * prefix); children and the ``edges`` array (roots and protected refs,
+ * remapped in place) are translated the same way.  The new columns must
+ * hold exactly the marked count.  Returns 0, or -1 when out of memory. */
+int64_t bdd_compact_copy(const int32_t *var, const int64_t *lo,
+                         const int64_t *hi, int64_t nvals,
+                         const uint64_t *bits, int32_t *nvar, int64_t *nlo,
+                         int64_t *nhi, int64_t *edges, int64_t nedges)
+{
+    int64_t words = (nvals + 63) >> 6, w, i, j = 0, acc = 0;
+    int64_t *rank = malloc((size_t)(words ? words : 1) * sizeof(int64_t));
+    uint64_t b;
+    if (!rank)
+        return -1;
+    for (w = 0; w < words; w++) {
+        rank[w] = acc;
+        acc += __builtin_popcountll(bits[w]);
+    }
+#define REMAP(e) (((rank[(e) >> 7] + __builtin_popcountll(bits[(e) >> 7] \
+        & (((uint64_t)1 << (((e) >> 1) & 63)) - 1))) << 1) | ((e) & 1))
+    for (w = 0; w < words; w++) {
+        b = bits[w];
+        while (b) {
+            i = (w << 6) + __builtin_ctzll(b);
+            b &= b - 1;
+            nvar[j] = var[i];
+            if (i) {
+                nlo[j] = REMAP(lo[i]);
+                nhi[j] = REMAP(hi[i]);
+            } else {
+                nlo[j] = 0;
+                nhi[j] = 0;
+            }
+            j++;
+        }
+    }
+    for (i = 0; i < nedges; i++)
+        edges[i] = REMAP(edges[i]);
+#undef REMAP
+    free(rank);
+    return 0;
 }
 """
 

@@ -34,6 +34,7 @@ GAUGE_METRICS = frozenset({
     "bdd.eq_size",
     "bdd.num_vars",
     "bdd.bytes",
+    "bdd.kernel",
     "bdd.ite_cache_entries",
     "bdd.quant_cache_entries",
     "sat.vars",

@@ -39,6 +39,9 @@ from repro.synth.universal import BddAlgebra, universal_gate_stage
 
 __all__ = ["DepthOutcome", "BddSynthesisEngine"]
 
+#: Manager table-bookkeeping counters reported per depth as ``bdd.<name>``.
+_BOOKKEEPING_COUNTERS = ("utab_grows", "compactions")
+
 
 @dataclass
 class DepthOutcome:
@@ -251,12 +254,22 @@ class BddSynthesisEngine:
             self.built_depth += 1
             self._checkpoint()
 
-    def _compact(self) -> None:
+    def _compact(self, before: Dict[str, int],
+                 metrics: Dict[str, float]) -> None:
+        """Compact the manager to the cascade and spec roots.
+
+        Runs after the depth's metrics were taken, so its bookkeeping
+        counters are refreshed in ``metrics`` (the same dict the
+        outcome reports) to keep the compaction in this depth's figures.
+        """
         roots = list(self.lines) + list(self.on_bdds) + list(self.dc_bdds)
         remapped = self.manager.compact(roots)
         self.lines = remapped[:self.n]
         self.on_bdds = remapped[self.n:2 * self.n]
         self.dc_bdds = remapped[2 * self.n:]
+        now = self.manager.stats()
+        for name in _BOOKKEEPING_COUNTERS:
+            metrics[f"bdd.{name}"] = now.get(name, 0) - before.get(name, 0)
 
     # -- monolithic (per-depth rebuild) state -------------------------------------
 
@@ -352,7 +365,7 @@ class BddSynthesisEngine:
         metrics["bdd.eq_size"] = detail["eq_size"]
         if solutions == FALSE:
             if self.incremental and self.compact_between_depths:
-                self._compact()
+                self._compact(before, metrics)
             return DepthOutcome(status="unsat", detail=detail, metrics=metrics)
 
         if self.reorder:
@@ -367,7 +380,7 @@ class BddSynthesisEngine:
             outcome = self._extract(manager, y_vars, solutions, depth, detail,
                                     metrics)
         if self.incremental and self.compact_between_depths:
-            self._compact()
+            self._compact(before, outcome.metrics)
         return outcome
 
     def _metrics(self, before: Dict[str, int],
@@ -410,6 +423,9 @@ class BddSynthesisEngine:
                                  - before.get("reorder_runs", 0)),
             "bdd.reorder_swaps": (now.get("reorder_swaps", 0)
                                   - before.get("reorder_swaps", 0)),
+            **{f"bdd.{name}": now.get(name, 0) - before.get(name, 0)
+               for name in _BOOKKEEPING_COUNTERS},
+            "bdd.kernel": now.get("kernel", 0),
         }
 
     # -- solution extraction -------------------------------------------------------------

@@ -199,11 +199,41 @@ class TestUniqueKeyWidening:
             manager._extend_free(0x7FFFFFFF + 1)
 
 
+def _require_kernel():
+    from repro.bdd.tables import kernel_available
+    if not kernel_available():
+        pytest.skip("native kernel unavailable")
+
+
+def _churn(manager, rng, rounds=40, n=10):
+    """A seeded mix of AND/XOR/ITE over random DNFs, large enough to
+    grow the unique table several times; returns the results."""
+    results = []
+    for _ in range(rounds):
+        f = manager.from_minterms(list(range(n)),
+                                  sorted(rng.sample(range(1 << n), 200)))
+        g = manager.from_minterms(list(range(n)),
+                                  sorted(rng.sample(range(1 << n), 200)))
+        h = results[-1] if results else manager.var(0)
+        results.append(manager.ite(manager.xor(f, h), g,
+                                   manager.and_(f, manager.not_(g))))
+    return results
+
+
+def _assert_same_tables(kernel, pure):
+    """Byte-identical unique table, columns, free list and references."""
+    assert bytes(kernel._utab) == bytes(pure._utab)
+    assert kernel._var == pure._var
+    assert kernel._lo == pure._lo
+    assert kernel._hi == pure._hi
+    assert kernel._free == pure._free
+    assert kernel._live == pure._live
+    assert kernel._refs == pure._refs
+
+
 class TestKernelParity:
     def test_kernel_and_pure_python_build_identical_edges(self):
-        from repro.bdd.tables import kernel_available
-        if not kernel_available():
-            pytest.skip("native kernel unavailable")
+        _require_kernel()
         rng_a, rng_b = random.Random(5), random.Random(5)
         with_kernel = BddManager(6)
         pure = BddManager(6, use_kernel=False)
@@ -223,3 +253,68 @@ class TestKernelParity:
         assert list(with_kernel._lo[:n]) == list(pure._lo)
         assert list(with_kernel._hi[:n]) == list(pure._hi)
         assert all(v == -2 for v in with_kernel._var[n:])  # free tail
+
+    def test_bookkeeping_grow_compact_gc_identical(self):
+        # Growth, compaction and collection run as kernel routines on
+        # one manager and as the Python reference loops on the other;
+        # every table they leave behind must match byte for byte.
+        _require_kernel()
+        kernel = BddManager(10)
+        pure = BddManager(10, use_kernel=False)
+        out_k = _churn(kernel, random.Random(11))
+        out_p = _churn(pure, random.Random(11))
+        assert out_k == out_p
+        assert kernel.utab_grows == pure.utab_grows >= 3
+        assert bytes(kernel._utab) == bytes(pure._utab)
+        n = len(pure._var)
+        assert kernel._var[:n] == pure._var
+        assert kernel._lo[:n] == pure._lo
+        assert kernel._hi[:n] == pure._hi
+        for manager, out in ((kernel, out_k), (pure, out_p)):
+            manager.protect(out[3])
+            manager.protect(out[3])
+            manager.protect(manager.not_(out[7]))
+        # Complemented roots, the terminal and a protected edge among
+        # the roots.
+        roots_k = [out_k[-1], out_k[-2] ^ 1, TRUE, out_k[3], FALSE]
+        roots_p = [out_p[-1], out_p[-2] ^ 1, TRUE, out_p[3], FALSE]
+        new_k = kernel.compact(roots_k)
+        new_p = pure.compact(roots_p)
+        assert new_k == new_p
+        assert new_k[2] == TRUE and new_k[4] == FALSE
+        _assert_same_tables(kernel, pure)
+        assert kernel._refs[new_k[3]] == 2
+        # The unprotected roots die; the protected ones anchor the sweep.
+        freed = kernel.gc()
+        assert freed == pure.gc() > 0
+        _assert_same_tables(kernel, pure)
+        assert kernel.stats()["kernel"] == 1 and pure.stats()["kernel"] == 0
+        assert kernel.compactions == pure.compactions == 1
+
+    def test_compact_no_roots_keeps_terminal_only(self):
+        _require_kernel()
+        kernel = BddManager(10)
+        pure = BddManager(10, use_kernel=False)
+        _churn(kernel, random.Random(3), rounds=5)
+        _churn(pure, random.Random(3), rounds=5)
+        assert kernel.compact([]) == pure.compact([]) == []
+        _assert_same_tables(kernel, pure)
+        assert kernel.node_count() == 1 and len(kernel._var) == 1
+
+    def test_compact_right_after_extend_free(self):
+        _require_kernel()
+        kernel = BddManager(10)
+        pure = BddManager(10, use_kernel=False)
+        out_k = _churn(kernel, random.Random(4), rounds=5)
+        out_p = _churn(pure, random.Random(4), rounds=5)
+        (root_k,) = kernel.compact([out_k[-1]])
+        (root_p,) = pure.compact([out_p[-1]])
+        # Both columns are now exactly sized, so the threaded free list
+        # (C on one side, Python on the other) must match in full.
+        kernel._extend_free()
+        pure._extend_free()
+        _assert_same_tables(kernel, pure)
+        assert kernel._var[-1] == -2 and kernel._lo[-1] == 0
+        assert kernel.compact([root_k]) == pure.compact([root_p])
+        _assert_same_tables(kernel, pure)
+        assert -2 not in kernel._var

@@ -115,6 +115,11 @@ class TestSynthPath:
         assert stats["pool"]["capacity"] == 8
         assert stats["store"]["format"] == "repro-cache-stats-v1"
         assert stats["draining"] is False
+        # The manager's table bookkeeping surfaces in the "bdd" section.
+        from repro.bdd.tables import kernel_available
+        assert stats["bdd"]["bdd.compactions"] >= 1
+        assert stats["bdd"]["bdd.utab_grows"] >= 1
+        assert stats["bdd"]["bdd.kernel"] == int(kernel_available())
 
     def test_stats_store_section_is_cache_stats_payload(self, client,
                                                         server):

@@ -69,6 +69,12 @@ class TestCanonicalIdentity:
             assert ser.ok and par.ok
             assert obs.canonical_record(ser.record) \
                 == obs.canonical_record(par.record)
+            # The table-bookkeeping figures are resource metrics: in
+            # the raw record, stripped from the canonical one.
+            for key in ("bdd.utab_grows", "bdd.compactions", "bdd.kernel"):
+                assert key in ser.record["metrics"]
+                assert key in par.record["metrics"]
+                assert key not in obs.canonical_record(ser.record)["metrics"]
 
 
 class TestEngineOptions:
@@ -110,7 +116,8 @@ class TestMemoryMetrics:
         metrics = record["metrics"]
         assert metrics["bdd.bytes"] > 0
         for key in ("bdd.gc_runs", "bdd.gc_reclaimed",
-                    "bdd.reorder_runs", "bdd.reorder_swaps"):
+                    "bdd.reorder_runs", "bdd.reorder_swaps",
+                    "bdd.utab_grows", "bdd.compactions", "bdd.kernel"):
             assert key in metrics
         # Stripped from the canonical projection (resource figures)...
         canonical = obs.canonical_record(record)
