@@ -58,6 +58,7 @@ from repro.core.spec import Specification
 from repro.functions import SUITE, get_spec
 from repro.synth import INCREMENTAL_ENGINES, synthesize
 from repro.synth.qbf_engine import QbfSolverEngine
+from repro.synth.run import run_record
 from repro.synth.transformation import transformation_synthesize
 from repro.verify import circuits_equivalent, counterexample
 
@@ -247,14 +248,14 @@ def _cmd_synth(args) -> int:
         print(f"(resumed iterative deepening after proven bound "
               f"{result.store_resumed_from})")
     if args.portfolio and not args.json:
-        losers = getattr(result, "loser_results", {})
-        cancelled = sorted(name for name, loser in losers.items()
+        cancelled = sorted(name for name, loser
+                           in result.loser_results.items()
                            if loser.status == "cancelled")
         print(f"portfolio winner: {result.winner_engine}"
               + (f" (cancelled: {', '.join(cancelled)})" if cancelled else ""))
     if args.json:
-        record = obs.build_run_record(
-            result, GateLibrary.from_kinds(spec.n_lines, kinds))
+        record = run_record(result, GateLibrary.from_kinds(spec.n_lines,
+                                                          kinds))
         print(json.dumps(record, indent=2, sort_keys=True))
         return 0 if result.realized else 1
     print(result.summary())

@@ -181,17 +181,14 @@ def validate_run_record(record) -> List[str]:
 # -- construction -------------------------------------------------------------
 
 
-def build_run_record(result, library=None,
-                     extra: Optional[Dict] = None) -> Dict:
+def build_run_record(result, library=None) -> Dict:
     """Assemble a run record from a SynthesisResult (+ its gate library).
 
     ``result`` is duck-typed (anything with ``to_dict()``/``n_lines``-
     compatible fields works) so this module stays import-free of
-    :mod:`repro.synth` and usable from any layer.
-
-    ``extra`` merges additional top-level keys into the record — the
-    parallel layer uses it for provenance fields (``workers``,
-    ``worker_id``, ``retried``, ...) declared in the schema.
+    :mod:`repro.synth` and usable from any layer.  Provenance fields
+    (``workers``, ``store_hit``, ...) are added by
+    :func:`repro.synth.run.run_record`, which every mode uses.
     """
     from repro import __version__
 
@@ -215,8 +212,6 @@ def build_run_record(result, library=None,
         },
     }
     record.update(payload)
-    if extra:
-        record.update(extra)
     return record
 
 

@@ -20,17 +20,16 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import queue as queue_module
-import signal
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import repro.obs as obs
-from repro.core.cancel import CancelToken
 from repro.core.library import GateLibrary
 from repro.core.spec import Specification
-from repro.parallel.tasks import SynthesisTask
+from repro.parallel.tasks import SynthesisTask, start_worker
+from repro.synth.run import conclude
 
-__all__ = ["PORTFOLIO_ENGINES", "portfolio_synthesize"]
+__all__ = ["LOSER_GRACE", "PORTFOLIO_ENGINES", "portfolio_synthesize"]
 
 #: Engines raced by default, in tie-break priority order.
 PORTFOLIO_ENGINES: Tuple[str, ...] = ("bdd", "sword", "sat", "qbf")
@@ -38,26 +37,22 @@ PORTFOLIO_ENGINES: Tuple[str, ...] = ("bdd", "sword", "sat", "qbf")
 #: A result with one of these statuses settles the race.
 _DEFINITIVE = frozenset({"realized", "gate_limit"})
 
+#: Seconds the cancelled losers get to report their partial
+#: trajectories once a racer has won; stragglers are terminated.
+LOSER_GRACE = 5.0
+
 #: Preference order when no racer was definitive.
 _STATUS_RANK = {"realized": 0, "gate_limit": 1, "timeout": 2,
-                "cancelled": 3, "error": 4}
+                "cancelled": 3}
 
 
 def _race_worker(task: SynthesisTask, cancel_event, results, racer_id: int,
                  forward_events: bool = False):
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent drives shutdown
-    # Drop subscribers inherited over the fork, then forward this
-    # racer's live events through the shared result queue so the
-    # parent sees per-engine deepening progress mid-race.
-    obs.reset_event_bus()
-    if forward_events:
-        def _forward(event):
-            payload = dict(event)
-            payload.setdefault("worker", racer_id)
-            results.put((racer_id, "event", payload))
-
-        obs.subscribe(_forward)
-    token = CancelToken(cancel_event)
+    # The racer's live events travel through the shared result queue,
+    # so the parent sees per-engine deepening progress mid-race.
+    token = start_worker(cancel_event, racer_id, (
+        lambda payload: results.put((racer_id, "event", payload))
+    ) if forward_events else None)
     try:
         result = task.run(cancel_token=token)
         results.put((racer_id, "ok", result))
@@ -78,8 +73,7 @@ def portfolio_synthesize(spec: Specification,
                          workers: int = 0,
                          store: Optional[object] = None,
                          orbit: bool = True,
-                         engine_options: Optional[Dict] = None,
-                         grace: float = 5.0):
+                         engine_options: Optional[Dict] = None):
     """Race ``engines`` on ``spec``; return the first complete result.
 
     ``workers`` bounds how many racers run concurrently (0 or anything
@@ -89,11 +83,12 @@ def portfolio_synthesize(spec: Specification,
     engine hold per-engine option dicts; remaining keys apply to every
     racer.
 
-    The returned :class:`~repro.synth.result.SynthesisResult` is the
-    winner's, with ``runtime`` rebased to the race's wall-clock time
-    and extra attributes ``winner_engine``, ``workers`` and
-    ``loser_results`` (engine → result for every racer that reported
-    back, including cancelled partials).
+    Each racer is a serial ``synthesize()`` run.  The returned
+    :class:`~repro.synth.result.SynthesisResult` is the winner's, with
+    ``runtime`` rebased to the race's wall-clock time and the race in
+    ``winner_engine``, ``workers``, ``cpu_count`` and ``loser_results``
+    (engine → result for every racer that reported back, including
+    cancelled partials).  A ``cancel_token`` option cancels the race.
 
     ``store`` (a path or open :class:`repro.store.SynthesisStore`)
     attaches one shared persistent store to every racer: each does its
@@ -109,6 +104,9 @@ def portfolio_synthesize(spec: Specification,
     if unknown:
         raise ValueError("portfolio cannot race itself")
     engine_options = dict(engine_options or {})
+    # Racers poll their own token on the race's cancel event; the
+    # caller's token sets that event.
+    caller_token = engine_options.pop("cancel_token", None)
     per_engine = {name: engine_options.pop(name) for name in list(engine_options)
                   if name in engines and isinstance(engine_options[name], dict)}
     concurrency = len(engines) if workers < 1 else min(workers, len(engines))
@@ -142,71 +140,55 @@ def portfolio_synthesize(spec: Specification,
     with obs.span("portfolio", spec=spec.name or "anonymous",
                   engines=",".join(engines)):
         procs: Dict[int, object] = {}
-        next_racer = 0
-        while next_racer < concurrency:
-            procs[next_racer] = spawn(next_racer)
-            next_racer += 1
-
         reported: Dict[int, Tuple[str, object]] = {}
         winner_id: Optional[int] = None
-        while len(reported) < len(engines):
+        grace_deadline = None
+        while (len(reported) < len(procs)
+               or (winner_id is None and len(procs) < len(engines))):
+            if caller_token is not None and caller_token.cancelled():
+                cancel_event.set()
+            # Keep ``concurrency`` racers running until one wins; every
+            # engine is raced eventually.
+            while (winner_id is None and len(procs) < len(engines)
+                   and sum(1 for rid, p in procs.items()
+                           if rid not in reported and p.is_alive())
+                   < concurrency):
+                procs[len(procs)] = spawn(len(procs))
+            if grace_deadline is not None \
+                    and time.perf_counter() > grace_deadline:
+                break
             try:
                 racer_id, kind, payload = results_queue.get(timeout=0.05)
-                if kind == "event":
-                    obs.emit_forwarded(payload)
-                    continue
-                reported[racer_id] = (kind, payload)
-                if (winner_id is None and kind == "ok"
-                        and payload.status in _DEFINITIVE):
-                    winner_id = racer_id
-                    cancel_event.set()
             except queue_module.Empty:
-                pass
-            # A racer that died without reporting (OOM-kill, hard crash)
-            # must not hang the race: score it as an error.
-            for racer_id, proc in list(procs.items()):
-                if racer_id not in reported and not proc.is_alive():
-                    proc.join()
-                    obs.emit("worker_crashed", worker=racer_id,
-                             role="portfolio", engine=engines[racer_id],
-                             exitcode=proc.exitcode)
-                    reported[racer_id] = ("error",
-                                          f"racer {engines[racer_id]} died "
-                                          f"(exit {proc.exitcode})")
-            if winner_id is None and next_racer < len(engines):
-                while (next_racer < len(engines)
-                       and sum(1 for rid, p in procs.items()
-                               if rid not in reported and p.is_alive())
-                       < concurrency):
-                    procs[next_racer] = spawn(next_racer)
-                    next_racer += 1
-            if winner_id is not None:
+                # A racer that died without reporting (OOM-kill, hard
+                # crash) must not hang the race: score it as an error.
+                for racer_id, proc in procs.items():
+                    if racer_id not in reported and not proc.is_alive():
+                        proc.join()
+                        obs.emit("worker_crashed", worker=racer_id,
+                                 role="portfolio", engine=engines[racer_id],
+                                 exitcode=proc.exitcode)
+                        reported[racer_id] = (
+                            "error", f"racer {engines[racer_id]} died "
+                                     f"(exit {proc.exitcode})")
+                continue
+            if kind == "event":
+                obs.emit_forwarded(payload)
+                continue
+            reported[racer_id] = (kind, payload)
+            if (winner_id is None and kind == "ok"
+                    and payload.status in _DEFINITIVE):
+                winner_id = racer_id
+                cancel_event.set()
                 # Grace window for the cancelled losers to report their
                 # partial trajectories; stragglers are terminated.
-                deadline = time.perf_counter() + grace
-                launched = set(procs)
-                while (launched - set(reported)
-                       and time.perf_counter() < deadline):
-                    try:
-                        racer_id, kind, payload = results_queue.get(timeout=0.05)
-                        if kind == "event":
-                            obs.emit_forwarded(payload)
-                            continue
-                        reported[racer_id] = (kind, payload)
-                    except queue_module.Empty:
-                        for racer_id, proc in list(procs.items()):
-                            if racer_id not in reported and not proc.is_alive():
-                                obs.emit("worker_crashed", worker=racer_id,
-                                         role="portfolio",
-                                         engine=engines[racer_id])
-                                reported[racer_id] = ("error", "racer died")
-                for racer_id in launched - set(reported):
-                    procs[racer_id].terminate()
-                    reported[racer_id] = ("cancelled", None)
-                # Engines never launched lost by walkover.
-                for racer_id in range(next_racer, len(engines)):
-                    reported[racer_id] = ("cancelled", None)
-                break
+                grace_deadline = time.perf_counter() + LOSER_GRACE
+        for racer_id in set(procs) - set(reported):
+            procs[racer_id].terminate()
+            reported[racer_id] = ("cancelled", None)
+        # Engines never launched lost by walkover.
+        for racer_id in range(len(procs), len(engines)):
+            reported[racer_id] = ("cancelled", None)
         for proc in procs.values():
             proc.join(timeout=1.0)
             if proc.is_alive():
@@ -225,11 +207,6 @@ def portfolio_synthesize(spec: Specification,
     if winner_id is None:
         # Nobody was definitive (all timed out / errored): pick the
         # least-bad reporter in portfolio priority order.
-        def rank(racer_id: int) -> Tuple[int, int]:
-            kind, payload = reported[racer_id]
-            status = payload.status if kind == "ok" else "error"
-            return (_STATUS_RANK.get(status, 5), racer_id)
-
         candidates = [rid for rid, (kind, _) in reported.items()
                       if kind == "ok"]
         if not candidates:
@@ -237,7 +214,8 @@ def portfolio_synthesize(spec: Specification,
                 f"{engines[rid]}: {payload}"
                 for rid, (kind, payload) in sorted(reported.items()))
             raise RuntimeError(f"every portfolio racer failed — {failures}")
-        winner_id = min(candidates, key=rank)
+        winner_id = min(candidates, key=lambda rid: (
+            _STATUS_RANK[reported[rid][1].status], rid))
 
     final = reported[winner_id][1]
     losers = {engines[rid]: payload
@@ -254,19 +232,8 @@ def portfolio_synthesize(spec: Specification,
     final.runtime = time.perf_counter() - start
     final.winner_engine = engines[winner_id]
     final.workers = concurrency
+    final.cpu_count = os.cpu_count() or 1
     final.loser_results = losers
     obs.publish(final.metrics)
-    if trace is not None:
-        extra = {"workers": concurrency,
-                 "cpu_count": os.cpu_count() or 1,
-                 "winner_engine": engines[winner_id]}
-        if final.store_hit:
-            extra["store_hit"] = True
-        if final.store_resumed_from is not None:
-            extra["store_resumed_from"] = final.store_resumed_from
-        obs.append_record(trace, obs.build_run_record(final, library,
-                                                      extra=extra))
-    obs.emit("run_finished", spec=final.spec_name, engine="portfolio",
-             status=final.status, depth=final.depth, runtime=final.runtime,
-             winner_engine=engines[winner_id])
-    return final
+    return conclude(final, library, trace, engine="portfolio",
+                    winner_engine=final.winner_engine)

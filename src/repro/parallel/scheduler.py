@@ -18,10 +18,11 @@ stops every engine's hot loop within milliseconds, partial results are
 collected, and the pool shuts down without orphan processes.
 
 Completed tasks merge into the parent's :mod:`repro.obs` state: run
-records (with ``worker_id``/``retried``/``workers``/``cpu_count``
-provenance) are appended to the trace file — in task order, not
-completion order, so parallel and serial traces compare line by line —
-and each worker's metrics are published into the parent registry.
+records (:func:`repro.synth.run.run_record`, with the pool's
+``worker_id``/``retried``/``workers``/``cpu_count``) are appended to
+the trace file — in task order, not completion order, so parallel and
+serial traces compare line by line — and each worker's metrics are
+published into the parent registry.
 
 Live telemetry (:mod:`repro.obs.events`): when the parent bus has
 subscribers at pool-creation time, each worker forwards its progress
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import signal
 import time
 from collections import deque
 from multiprocessing.connection import wait as connection_wait
@@ -45,27 +45,17 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 import repro.obs as obs
-from repro.core.cancel import CancelToken
-from repro.parallel.tasks import SynthesisTask, default_workers
+from repro.parallel.tasks import SynthesisTask, default_workers, start_worker
+from repro.synth.run import run_record
 
 __all__ = ["SuiteRun", "TaskReport", "run_suite"]
 
 
 def _suite_worker(worker_id: int, conn, cancel_event,
                   forward_events: bool = False):
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent drives shutdown
-    # The fork copied the parent's event bus *with its subscribers*
-    # (renderers, file appenders) — drop them so worker events reach
-    # the parent exactly once, through the pipe forwarder below.
-    obs.reset_event_bus()
-    if forward_events:
-        def _forward(event):
-            payload = dict(event)
-            payload.setdefault("worker", worker_id)
-            conn.send(("event", payload))
-
-        obs.subscribe(_forward)
-    token = CancelToken(cancel_event)
+    token = start_worker(cancel_event, worker_id, (
+        lambda payload: conn.send(("event", payload))
+    ) if forward_events else None)
     while True:
         message = conn.recv()
         if message is None:
@@ -233,15 +223,10 @@ def run_suite(tasks: Sequence[SynthesisTask],
         if report.result is not None:
             obs.publish(report.result.metrics)
             obs.merge_metrics(merged_metrics, report.result.metrics)
-            extra = {"workers": pool_size, "cpu_count": cpu_count,
-                     "worker_id": report.worker_id,
-                     "retried": report.retried}
-            if report.result.store_hit:
-                extra["store_hit"] = True
-            if report.result.store_resumed_from is not None:
-                extra["store_resumed_from"] = report.result.store_resumed_from
-            report.record = obs.build_run_record(
-                report.result, tasks[index].resolved_library(), extra=extra)
+            report.record = run_record(
+                report.result, tasks[index].resolved_library(),
+                workers=pool_size, cpu_count=cpu_count,
+                worker_id=report.worker_id, retried=report.retried)
         obs.emit("task_finished", label=report.label, status=report.status,
                  worker=report.worker_id, retried=report.retried,
                  runtime=report.runtime)
@@ -282,9 +267,11 @@ def run_suite(tasks: Sequence[SynthesisTask],
             return
         if attempts[index] == 0:
             attempts[index] = 1
-            pending.appendleft(index)  # retry before new work
             obs.emit("worker_retried", worker=worker.id,
                      label=tasks[index].resolved_label())
+            # Retry at once on the fresh replacement, never on a pool
+            # original that happened to go idle first.
+            pool[worker_slot].assign(index, tasks[index])
         else:
             finish(index, TaskReport(
                 label=tasks[index].resolved_label(), status="error",

@@ -24,16 +24,16 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import signal
 import time
 from multiprocessing.connection import wait as connection_wait
 from typing import Dict, Optional, Tuple
 
 import repro.obs as obs
-from repro.core.cancel import CancelledError, CancelToken
+from repro.core.cancel import CancelledError
 from repro.core.library import GateLibrary
 from repro.core.spec import Specification
-from repro.synth.result import DepthStat, SynthesisResult
+from repro.parallel.tasks import start_worker
+from repro.synth.result import SynthesisResult
 
 __all__ = ["speculative_synthesize"]
 
@@ -50,14 +50,11 @@ def _depth_server(engine_name: str, spec, library, engine_options,
     sees — missing cascade stages are appended on demand and trailing
     stages never constrain earlier depths' answers.
     """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
     from repro.synth.driver import ENGINES, engine_session
 
-    # Depth servers answer bare decide() calls — the deepening loop
-    # (and thus all event emission) lives in the parent, so inherited
-    # parent subscribers must simply be dropped.
-    obs.reset_event_bus()
-    token = CancelToken(cancel_event)
+    # Depth servers answer bare decide() calls: the deepening loop, and
+    # with it all event emission, lives in the parent.
+    token = start_worker(cancel_event)
     engine = ENGINES[engine_name](spec, library, cancel_token=token,
                                   **engine_options)
     with engine_session(engine):
@@ -89,63 +86,37 @@ def speculative_synthesize(spec: Specification,
                            workers: int = 2,
                            store: Optional[object] = None,
                            orbit: bool = True,
-                           engine_options: Optional[Dict] = None,
-                           window: Optional[int] = None) -> SynthesisResult:
+                           engine_options: Optional[Dict] = None
+                           ) -> SynthesisResult:
     """Iterative deepening with depths decided speculatively in parallel.
 
-    Semantics match ``synthesize(spec, engine=engine, ...)``: the same
-    depth range is planned (:func:`repro.synth.driver.plan_depth_range`),
-    the committed trajectory has the same decisions, and the result
-    status/depth/circuit agree with the serial run.  Only runtimes, the
-    ``driver.speculation_*`` metrics and (for ``sword``) per-depth
-    search counters — whose transposition table no longer spans
-    depths decided by different workers — may differ.
+    A scheduler over the same :class:`repro.synth.run.Run` as
+    ``synthesize(spec, engine=engine, ...)``, feeding it a
+    ``workers``-wide window of depths in commit order: the committed
+    decisions and the result status/depth/circuit agree with the serial
+    run.  Only runtimes, the ``driver.speculation_*`` metrics and
+    per-depth work counters (warm sessions and ``sword``'s
+    transposition table no longer span every depth) may differ.
     """
-    from repro.synth.driver import (MIN_DEPTH_BUDGET, STATELESS_ENGINES,
-                                    _aggregate_metrics, plan_depth_range)
+    from repro.synth.driver import MIN_DEPTH_BUDGET, STATELESS_ENGINES
+    from repro.synth.run import Run
 
     if engine not in STATELESS_ENGINES:
         raise ValueError(f"engine {engine!r} cannot be depth-pipelined; "
                          f"stateless engines: {sorted(STATELESS_ENGINES)}")
     workers = max(1, workers)
-    window = workers if window is None else max(1, window)
     engine_options = dict(engine_options or {})
-    engine_options.pop("cancel_token", None)  # workers get their own
+    # The depth servers poll their own token on the pipeline's cancel
+    # event; the caller's token sets that event.
+    caller_token = engine_options.pop("cancel_token", None)
 
-    start_depth, limit = plan_depth_range(spec, library, max_gates, use_bounds)
-    start = time.perf_counter()
-
-    # Same store protocol as the serial driver: a stored result skips
-    # the pipeline entirely, a banked bound moves the first dispatched
-    # depth, and the committed trajectory's proofs are banked on exit.
-    store_obj = None
-    key = None
-    store_start_depth = start_depth
-    if store is not None:
-        from repro.store import open_store
-        from repro.store.orbit import derive_store_key
-        from repro.store.payload import (hit_trace_record, store_commit,
-                                         store_lookup)
-        store_obj = open_store(store)
-        key = derive_store_key(spec, library, engine, max_gates=max_gates,
-                               use_bounds=use_bounds,
-                               engine_options=engine_options, orbit=orbit)
-        hit, entry, start_depth = store_lookup(
-            store_obj, key, spec, engine, start_depth)
-        if hit is not None:
-            hit.runtime = time.perf_counter() - start
-            if trace is not None:
-                obs.append_record(trace, hit_trace_record(entry, hit))
-            obs.emit("run_finished", spec=hit.spec_name, engine=hit.engine,
-                     status=hit.status, depth=hit.depth, runtime=hit.runtime,
-                     store_hit=True)
-            return hit
-
-    result = SynthesisResult(engine=engine, spec_name=spec.name or "anonymous",
-                             status="gate_limit")
-    if start_depth > store_start_depth:
-        result.store_resumed_from = start_depth - 1
-    deadline = None if time_limit is None else start + time_limit
+    run = Run(spec, library, engine, max_gates=max_gates,
+              use_bounds=use_bounds, time_limit=time_limit, trace=trace,
+              store=store, orbit=orbit, engine_options=engine_options)
+    hit = run.lookup()
+    if hit is not None:
+        return hit
+    result = run.begin(engine)
 
     ctx = mp.get_context("fork")
     cancel_event = ctx.Event()
@@ -168,24 +139,21 @@ def speculative_synthesize(spec: Specification,
     busy: Dict[int, int] = {}           # worker index -> depth in flight
     outcomes: Dict[int, Tuple[str, object, float]] = {}
     dispatched = set()
-    commit = start_depth
-    final_depth: Optional[int] = None   # depth the run settled on
-
-    def remaining_budget() -> Optional[float]:
-        if deadline is None:
-            return None
-        return max(0.0, deadline - time.perf_counter())
+    commit = run.start_depth            # the depth the run settles on
 
     try:
         with obs.span("speculate", spec=result.spec_name, engine=engine,
                       workers=workers):
             while True:
+                if caller_token is not None and caller_token.cancelled():
+                    cancel_event.set()
+                    run.fold(commit, None)
+                    break
                 # Fill idle workers with the next depths in the window.
-                next_depth = max(dispatched, default=start_depth - 1) + 1
-                while (idle and next_depth <= limit
-                       and next_depth < commit + window
-                       and result.status == "gate_limit"):
-                    budget = remaining_budget()
+                next_depth = max(dispatched, default=run.start_depth - 1) + 1
+                while (idle and next_depth <= run.limit
+                       and next_depth < commit + workers):
+                    budget = run.remaining()
                     if budget is not None and budget <= MIN_DEPTH_BUDGET:
                         break
                     worker = idle.pop()
@@ -198,7 +166,7 @@ def speculative_synthesize(spec: Specification,
                     next_depth += 1
 
                 if not busy:
-                    if commit > limit:
+                    if commit > run.limit:
                         break  # every depth answered UNSAT: gate_limit
                     # Out of budget before the commit depth could run.
                     result.status = "timeout"
@@ -212,56 +180,29 @@ def speculative_synthesize(spec: Specification,
                     idle.append(worker)
                     outcomes[depth] = (kind, payload, runtime)
 
-                if (deadline is not None
-                        and time.perf_counter() > deadline
+                if (run.deadline is not None
+                        and time.perf_counter() > run.deadline
                         and commit not in outcomes):
                     result.status = "timeout"
                     break
 
                 # Advance the commit pointer over consecutive answers.
                 settled = False
-                while commit in outcomes:
+                while commit in outcomes and not settled:
                     kind, outcome, runtime = outcomes[commit]
                     if kind == "error":
                         raise RuntimeError(
                             f"depth-{commit} worker failed: {outcome}")
-                    if kind == "cancelled":
-                        result.status = "cancelled"
-                        settled = True
-                        break
-                    result.per_depth.append(
-                        DepthStat(depth=commit, decision=outcome.status,
-                                  runtime=runtime,
-                                  detail=dict(outcome.detail),
-                                  metrics=dict(outcome.metrics),
-                                  timed_out=outcome.status == "unknown"))
-                    obs.emit("speculation_committed", spec=result.spec_name,
-                             engine=engine, depth=commit,
-                             decision=outcome.status)
-                    if outcome.status == "unknown":
-                        result.status = "timeout"
-                        settled = True
-                        break
-                    if outcome.status == "sat":
-                        result.status = "realized"
-                        result.depth = commit
-                        result.circuits = outcome.circuits
-                        result.num_solutions = outcome.num_solutions
-                        result.quantum_cost_min = outcome.quantum_cost_min
-                        result.quantum_cost_max = outcome.quantum_cost_max
-                        result.solutions_truncated = outcome.solutions_truncated
-                        obs.emit("solution_found", spec=result.spec_name,
-                                 engine=engine, depth=commit,
-                                 num_solutions=outcome.num_solutions)
-                        settled = True
-                        break
-                    obs.emit("depth_refuted", spec=result.spec_name,
-                             engine=engine, depth=commit, proven_bound=commit)
-                    commit += 1  # UNSAT: the pointer moves on
-                if settled:
-                    final_depth = result.depth if result.realized else commit
-                    break
-                if commit > limit and not busy:
+                    if kind == "ok":
+                        obs.emit("speculation_committed",
+                                 spec=result.spec_name, engine=engine,
+                                 depth=commit, decision=outcome.status)
+                    else:
+                        outcome = None  # the depth was cancelled
+                    settled = run.fold(commit, outcome, runtime)
+                    if not settled:
+                        commit += 1  # UNSAT: the pointer moves on
+                if settled or (commit > run.limit and not busy):
                     break
     finally:
         cancel_event.set()
@@ -278,34 +219,16 @@ def speculative_synthesize(spec: Specification,
         for conn in conns:
             conn.close()
 
-    if final_depth is None:
-        final_depth = commit
-    wasted = sum(1 for depth in dispatched if depth > final_depth)
-    result.runtime = time.perf_counter() - start
+    wasted = sum(1 for depth in dispatched if depth > commit)
     # The workers' engines report their solving mode per depth; the
     # committed trajectory is uniform, so any step's flag is the run's.
     result.incremental = any(step.detail.get("incremental", False)
                              for step in result.per_depth)
-    _aggregate_metrics(result)
-    result.metrics["driver.speculation_dispatched"] = len(dispatched)
-    result.metrics["driver.speculation_wasted_depths"] = wasted
-    result.metrics["driver.workers"] = workers
     result.workers = workers
+    result.cpu_count = os.cpu_count() or 1
     result.speculation_wasted_depths = wasted
     obs.emit("speculation_wasted", spec=result.spec_name, engine=engine,
              wasted=wasted, dispatched=len(dispatched))
-    obs.publish(result.metrics)
-    if store_obj is not None:
-        store_commit(store_obj, key, result, library, start_depth, spec=spec)
-    if trace is not None:
-        extra = {"workers": workers,
-                 "cpu_count": os.cpu_count() or 1,
-                 "speculation_wasted_depths": wasted}
-        if result.store_resumed_from is not None:
-            extra["store_resumed_from"] = result.store_resumed_from
-        obs.append_record(trace, obs.build_run_record(result, library,
-                                                      extra=extra))
-    obs.emit("run_finished", spec=result.spec_name, engine=engine,
-             status=result.status, depth=result.depth,
-             runtime=result.runtime)
-    return result
+    return run.finish({"driver.speculation_dispatched": len(dispatched),
+                       "driver.speculation_wasted_depths": wasted,
+                       "driver.workers": workers})

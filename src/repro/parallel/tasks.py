@@ -16,13 +16,14 @@ from __future__ import annotations
 import os
 import signal
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
+import repro.obs as obs
 from repro.core.cancel import CancelToken
 from repro.core.library import GateLibrary
 from repro.core.spec import Specification
 
-__all__ = ["SynthesisTask", "default_workers"]
+__all__ = ["SynthesisTask", "default_workers", "start_worker"]
 
 
 def default_workers(cap: int = 4) -> int:
@@ -31,6 +32,29 @@ def default_workers(cap: int = 4) -> int:
     if env:
         return max(1, int(env))
     return max(1, min(cap, os.cpu_count() or 1))
+
+
+def start_worker(cancel_event, worker_id: int = 0,
+                 send_event: Optional[Callable[[Dict], None]] = None
+                 ) -> CancelToken:
+    """Set up a freshly forked worker; returns its token on the event.
+
+    The parent drives shutdown, so SIGINT is ignored.  The fork copied
+    the parent's event bus *with its subscribers* (renderers, file
+    appenders); they are dropped so the worker's events reach the
+    parent exactly once — through ``send_event``, tagged with
+    ``worker_id``, when the parent listens.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    obs.reset_event_bus()
+    if send_event is not None:
+        def forward(event):
+            payload = dict(event)
+            payload.setdefault("worker", worker_id)
+            send_event(payload)
+
+        obs.subscribe(forward)
+    return CancelToken(cancel_event)
 
 
 @dataclass
@@ -130,8 +154,8 @@ class SynthesisTask:
         """Execute the task in the current process; returns the result.
 
         ``cancel_token`` threads the coordinator's cancellation into the
-        engine's hot loop (except for nested ``"portfolio"`` tasks,
-        which manage their own racer tokens).
+        engine's hot loop (a nested ``"portfolio"`` task relays it to
+        its racers).
         """
         from repro.synth.driver import synthesize
 
@@ -141,7 +165,7 @@ class SynthesisTask:
                     pass
                 os.kill(os.getpid(), signal.SIGKILL)
         options = dict(self.engine_options)
-        if cancel_token is not None and self.engine != "portfolio":
+        if cancel_token is not None:
             options["cancel_token"] = cancel_token
         return synthesize(self.spec,
                           library=self.library,

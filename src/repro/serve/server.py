@@ -54,9 +54,9 @@ from repro.serve.protocol import (ProtocolError, SynthRequest, decode_frame,
                                   encode_frame, error_frame, event_frame,
                                   hello_frame, ok_frame, parse_synth_request,
                                   pong_frame, result_frame, stats_frame)
-from repro.store import SynthesisStore, derive_store_key, store_key
-from repro.store.payload import hit_trace_record, store_lookup
-from repro.synth.driver import plan_depth_range, synthesize
+from repro.store import SynthesisStore, store_key
+from repro.synth.driver import synthesize
+from repro.synth.run import Run, run_record
 
 __all__ = ["SERVE_STATS_FORMAT", "ServeConfig", "ServerThread",
            "SynthesisServer"]
@@ -388,15 +388,14 @@ class SynthesisServer:
             self._finish_waiter(waiter, error_frame(
                 request_id, "internal", f"{type(exc).__name__}: {exc}"))
             return
-        orbit_key, literal_key, library, hit, entry = prepared
+        orbit_key, literal_key, library, hit = prepared
         waiter.key = orbit_key
         self._drop_route(waiter.scope, waiter)
         if hit is not None:
             # Store-first: answered without touching the job queue.
             registry.inc("serve.store_hits")
-            record = hit_trace_record(entry, hit)
             self._finish_waiter(waiter, result_frame(
-                request_id, record,
+                request_id, run_record(hit, library),
                 [write_real(circuit) for circuit in hit.circuits],
                 served="store", coalesced=False))
             return
@@ -426,9 +425,18 @@ class SynthesisServer:
             self._queue.append(job)
             registry.gauge_max("serve.queue_depth", len(self._queue))
 
+    def _request_run(self, request: SynthRequest, library: GateLibrary,
+                     key=None) -> Run:
+        """The request's run, for its store key and store probe."""
+        return Run(request.spec, library, request.engine,
+                   max_gates=request.max_gates,
+                   use_bounds=request.use_bounds, store=self._store,
+                   orbit=request.orbit and self.config.orbit,
+                   engine_options=request.engine_options, key=key)
+
     def _prepare(self, request: SynthRequest,
                  scope: str) -> Tuple[object, str, GateLibrary,
-                                      Optional[object], Optional[Dict]]:
+                                      Optional[object]]:
         """Executor-side request prep: keys, library, store-first probe.
 
         The probe only pays the full orbit lookup (witness replay plus
@@ -436,33 +444,22 @@ class SynthesisServer:
         canonical digest; its events run under the request's scope so a
         streaming client sees the ``store_hit``/``orbit_hit`` line.
         """
-        started = time.perf_counter()
         try:
             library = GateLibrary.from_kinds(request.spec.n_lines,
                                              request.kinds)
         except (KeyError, ValueError) as exc:
             raise ProtocolError(f"bad gate kinds {request.kinds!r}: {exc}"
                                 ) from None
-        orbit_key = derive_store_key(
-            request.spec, library, request.engine,
-            max_gates=request.max_gates, use_bounds=request.use_bounds,
-            engine_options=request.engine_options,
-            orbit=request.orbit and self.config.orbit)
+        run = self._request_run(request, library)
         literal_key = store_key(
             request.spec, library, request.engine,
             max_gates=request.max_gates, use_bounds=request.use_bounds,
             engine_options=request.engine_options)
-        hit = entry = None
-        if self._store.get(orbit_key.key) is not None:
-            start_depth, _ = plan_depth_range(
-                request.spec, library, request.max_gates, request.use_bounds)
+        hit = None
+        if self._store.get(run.key.key) is not None:
             with obs.event_scope(scope):
-                hit, entry, _ = store_lookup(
-                    self._store, orbit_key, request.spec, request.engine,
-                    start_depth)
-            if hit is not None:
-                hit.runtime = time.perf_counter() - started
-        return orbit_key, literal_key, library, hit, entry
+                hit = run.probe()
+        return run.key, literal_key, library, hit
 
     def _start_job(self, job: Job) -> None:
         registry = obs.default_registry()
@@ -527,18 +524,9 @@ class SynthesisServer:
                 self._finish_waiter(waiter, error_frame(
                     waiter.request.request_id, "internal", message))
             return
-        leader_record = None
-        if result.store_hit:
-            # A racer committed this configuration between our probe
-            # and the run: the driver served it from the store.
-            entry = self._store.get(job.key.key)
-            leader_record = (hit_trace_record(entry, result)
-                             if entry is not None else None)
-        if leader_record is None:
-            extra = ({"store_resumed_from": result.store_resumed_from}
-                     if result.store_resumed_from is not None else None)
-            leader_record = obs.build_run_record(result, job.library,
-                                                 extra=extra)
+        # A store hit here means a racer committed this configuration
+        # between our probe and the run: the driver served it.
+        leader_record = run_record(result, job.library)
         leader_circuits = [write_real(c) for c in result.circuits]
         for waiter in waiters:
             if waiter.answered:
@@ -578,34 +566,26 @@ class SynthesisServer:
         """
         self._add_route(waiter.scope, waiter)
         try:
-            hit, entry = await self._loop.run_in_executor(
+            hit = await self._loop.run_in_executor(
                 self._executor, self._follower_lookup, waiter)
         except Exception:  # noqa: BLE001 — degrade to re-admission
-            hit = entry = None
+            hit = None
         finally:
             self._drop_route(waiter.scope, waiter)
         if hit is None:
             return False
-        record = hit_trace_record(entry, hit)
         self._finish_waiter(waiter, result_frame(
-            waiter.request.request_id, record,
+            waiter.request.request_id, run_record(hit),
             [write_real(circuit) for circuit in hit.circuits],
             served="follower", coalesced=True))
         return True
 
     def _follower_lookup(self, waiter: Waiter):
         request = waiter.request
-        started = time.perf_counter()
         library = GateLibrary.from_kinds(request.spec.n_lines, request.kinds)
-        start_depth, _ = plan_depth_range(
-            request.spec, library, request.max_gates, request.use_bounds)
+        run = self._request_run(request, library, key=waiter.key)
         with obs.event_scope(waiter.scope):
-            hit, entry, _ = store_lookup(
-                self._store, waiter.key, request.spec, request.engine,
-                start_depth)
-        if hit is not None:
-            hit.runtime = time.perf_counter() - started
-        return hit, entry
+            return run.probe()
 
     async def _readmit(self, waiter: Waiter) -> None:
         """Run a follower whose replay failed as its own (new) job."""

@@ -12,9 +12,9 @@ A store entry holds two things:
   without touching an engine.
 
 :func:`store_lookup` / :func:`store_commit` are the two integration
-points shared by the serial driver and the speculative depth pipeline;
-they also publish the ``store.*`` metrics.  Store metrics go to the
-process registry only — never into ``result.metrics`` — so a cold run's
+points of the run lifecycle (:class:`repro.synth.run.Run`); they also
+publish the ``store.*`` metrics.  Store metrics go to the process
+registry only — never into ``result.metrics`` — so a cold run's
 canonical record is identical with and without a store attached.
 """
 
@@ -76,6 +76,7 @@ def result_from_entry(entry: Dict, spec: Specification) -> SynthesisResult:
         incremental=record.get("incremental", False),
         metrics=dict(record.get("metrics", {})),
         store_hit=True,
+        store_record=record,
     )
     result.per_depth = [
         DepthStat(depth=step["depth"], decision=step["decision"],

@@ -16,15 +16,16 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Dict, Optional, Sequence, Tuple, Type, Union
+from typing import Dict, Optional, Sequence, Type, Union
 
 import repro.obs as obs
 from repro.core.cancel import CancelledError
 from repro.core.library import GateLibrary
 from repro.core.spec import Specification
-from repro.synth.bdd_engine import BddSynthesisEngine, DepthOutcome
+from repro.synth.bdd_engine import BddSynthesisEngine
 from repro.synth.qbf_engine import QbfSolverEngine
-from repro.synth.result import DepthStat, SynthesisResult
+from repro.synth.result import SynthesisResult
+from repro.synth.run import Run, default_gate_limit, plan_depth_range
 from repro.synth.sat_engine import SatBaselineEngine
 from repro.synth.sword_engine import SwordEngine
 
@@ -99,45 +100,6 @@ def engine_session(instance, keep_open: bool = False):
             end = getattr(instance, "end_session", None)
             if end is not None:
                 end()
-
-
-def default_gate_limit(n_lines: int) -> int:
-    """A generous upper bound on the minimal gate count.
-
-    Any reversible function over ``n`` lines has an MCT realization with
-    at most ``n * 2^n`` gates (one stage per truth-table mismatch in a
-    transformation-based sweep); the iterative loop never comes close on
-    the paper's benchmarks, so the bound only guards against runaway
-    loops on unrealizable incompletely specified inputs.
-    """
-    return n_lines * (1 << n_lines)
-
-
-def plan_depth_range(spec: Specification,
-                     library: GateLibrary,
-                     max_gates: Optional[int] = None,
-                     use_bounds: bool = False) -> Tuple[int, int]:
-    """The iterative-deepening plan: (start depth, inclusive gate limit).
-
-    Factored out of :func:`synthesize` so the speculative depth pipeline
-    (:mod:`repro.parallel.speculative`) plans the identical range and
-    its committed trajectory matches the serial one depth for depth.
-    """
-    limit = (max_gates if max_gates is not None
-             else default_gate_limit(spec.n_lines))
-    start_depth = 0
-    if use_bounds:
-        from repro.core.library import mct_gates
-        from repro.synth.bounds import lower_bound, upper_bound
-        start_depth = lower_bound(spec, library)
-        if max_gates is None:
-            # The MMD cap is a Toffoli network, so it is only an upper
-            # bound for libraries containing every MCT gate.
-            if set(mct_gates(spec.n_lines)) <= set(library.gates):
-                heuristic_cap = upper_bound(spec)
-                if heuristic_cap is not None:
-                    limit = min(limit, heuristic_cap)
-    return start_depth, limit
 
 
 def _resolve_library(spec: Specification,
@@ -259,7 +221,10 @@ def synthesize(spec: Specification,
     then owns ``end_session()``.  Both knobs require serial execution
     (``workers == 1``, not portfolio).
 
-    **Parallel execution** (:mod:`repro.parallel`):
+    The call is the in-process depth loop over one
+    :class:`repro.synth.run.Run`, which owns the rest of the run's
+    lifecycle; the parallel modes (:mod:`repro.parallel`) schedule the
+    depths of the same ``Run`` differently:
 
     * ``engine="portfolio"`` races every registered engine on the spec
       in worker processes and returns the first completed result
@@ -293,54 +258,25 @@ def synthesize(spec: Specification,
                 "warm_instance was built for a different specification; "
                 "warm sessions are spec-specific (their encodings bake the "
                 "truth-table rows in)")
+    library = _resolve_library(spec, library, kinds, engine)
+    options = dict(max_gates=max_gates, time_limit=time_limit,
+                   use_bounds=use_bounds, trace=trace, store=store,
+                   orbit=orbit, engine_options=engine_options)
     if engine == "portfolio":
         from repro.parallel.portfolio import portfolio_synthesize
-        resolved = _resolve_library(spec, library, kinds, "bdd")
         # workers=1 is synthesize()'s serial default; for a race it
         # means "no cap" — every engine runs concurrently.
         return portfolio_synthesize(
-            spec, resolved, max_gates=max_gates, time_limit=time_limit,
-            use_bounds=use_bounds, trace=trace,
-            workers=0 if workers <= 1 else workers,
-            store=store, orbit=orbit, engine_options=engine_options)
+            spec, library, workers=0 if workers <= 1 else workers, **options)
     if workers > 1 and isinstance(engine, str) and engine in STATELESS_ENGINES:
         from repro.parallel.speculative import speculative_synthesize
-        resolved = _resolve_library(spec, library, kinds, engine)
-        return speculative_synthesize(
-            spec, resolved, engine, max_gates=max_gates,
-            time_limit=time_limit, use_bounds=use_bounds, trace=trace,
-            workers=workers, store=store, orbit=orbit,
-            engine_options=engine_options)
+        return speculative_synthesize(spec, library, engine,
+                                      workers=workers, **options)
 
-    library = _resolve_library(spec, library, kinds, engine)
-    start_depth, limit = plan_depth_range(spec, library, max_gates, use_bounds)
-
-    store_obj = None
-    key = None
-    store_start_depth = start_depth
-    start = time.perf_counter()
-    if store is not None:
-        from repro.store import open_store
-        from repro.store.orbit import derive_store_key
-        from repro.store.payload import (hit_trace_record, store_commit,
-                                         store_lookup)
-        store_obj = open_store(store)
-        key = derive_store_key(spec, library, engine, max_gates=max_gates,
-                               use_bounds=use_bounds,
-                               engine_options=engine_options, orbit=orbit)
-        hit, entry, start_depth = store_lookup(
-            store_obj, key, spec, engine, start_depth)
-        if hit is not None:
-            # Served entirely from the result store: no engine is ever
-            # constructed.  The trace re-emits the stored canonical
-            # record (plus fresh volatile fields) byte for byte.
-            hit.runtime = time.perf_counter() - start
-            if trace is not None:
-                obs.append_record(trace, hit_trace_record(entry, hit))
-            obs.emit("run_finished", spec=hit.spec_name, engine=hit.engine,
-                     status=hit.status, depth=hit.depth, runtime=hit.runtime,
-                     store_hit=True)
-            return hit
+    run = Run(spec, library, engine, **options)
+    hit = run.lookup()
+    if hit is not None:
+        return hit
 
     if warm_instance is not None:
         instance = warm_instance
@@ -357,95 +293,32 @@ def synthesize(spec: Specification,
     else:
         instance = engine
 
-    result = SynthesisResult(engine=instance.name,
-                             spec_name=spec.name or "anonymous",
-                             status="gate_limit")
-    if start_depth > store_start_depth:
-        result.store_resumed_from = start_depth - 1
-    deadline = None if time_limit is None else start + time_limit
-
-    with obs.span("synthesize", spec=result.spec_name,
-                  engine=instance.name), \
-            engine_session(instance, keep_open=keep_session) as warm:
-        result.incremental = warm
-        for depth in range(start_depth, limit + 1):
-            remaining = None
-            if deadline is not None:
+    result = run.begin(instance.name)
+    try:
+        with obs.span("synthesize", spec=result.spec_name,
+                      engine=instance.name), \
+                engine_session(instance, keep_open=keep_session) as warm:
+            result.incremental = warm
+            for depth in range(run.start_depth, run.limit + 1):
                 # Clamp: a sliver of budget is not worth an engine call —
                 # the encoding construction alone would overrun it.
-                remaining = max(0.0, deadline - time.perf_counter())
-                if remaining <= MIN_DEPTH_BUDGET:
+                remaining = run.remaining()
+                if remaining is not None and remaining <= MIN_DEPTH_BUDGET:
                     result.status = "timeout"
                     break
-            step_start = time.perf_counter()
-            obs.emit("depth_started", spec=result.spec_name,
-                     engine=instance.name, depth=depth)
-            try:
+                step_start = time.perf_counter()
+                obs.emit("depth_started", spec=result.spec_name,
+                         engine=instance.name, depth=depth)
                 with obs.span("depth", depth=depth, engine=instance.name):
-                    outcome: DepthOutcome = instance.decide(
-                        depth, time_limit=remaining)
-            except CancelledError:
-                # Cooperative cancellation (portfolio loser / Ctrl-C
-                # drain): keep the per-depth trajectory gathered so far
-                # so the coordinator can still merge partial metrics.
-                result.status = "cancelled"
-                break
-            step_time = time.perf_counter() - step_start
-            timed_out = outcome.status == "unknown"
-            result.per_depth.append(
-                DepthStat(depth=depth, decision=outcome.status,
-                          runtime=step_time, detail=dict(outcome.detail),
-                          metrics=dict(outcome.metrics), timed_out=timed_out))
-            if timed_out:
-                result.status = "timeout"
-                break
-            if outcome.status == "sat":
-                result.status = "realized"
-                result.depth = depth
-                result.circuits = outcome.circuits
-                result.num_solutions = outcome.num_solutions
-                result.quantum_cost_min = outcome.quantum_cost_min
-                result.quantum_cost_max = outcome.quantum_cost_max
-                result.solutions_truncated = outcome.solutions_truncated
-                obs.emit("solution_found", spec=result.spec_name,
-                         engine=instance.name, depth=depth,
-                         num_solutions=outcome.num_solutions)
-                break
-            # UNSAT at this depth: a freshly proven lower bound.
-            obs.emit("depth_refuted", spec=result.spec_name,
-                     engine=instance.name, depth=depth, proven_bound=depth)
+                    outcome = instance.decide(depth, time_limit=remaining)
+                if run.fold(depth, outcome, time.perf_counter() - step_start):
+                    break
+    except CancelledError:
+        # Cooperative cancellation (portfolio loser, Ctrl-C drain, the
+        # caller's token) — also while a session opens: keep the
+        # trajectory gathered so far for the coordinator to merge.
+        run.fold(None, None)
 
-    result.runtime = time.perf_counter() - start
     if keep_session:
         result.engine_instance = instance
-    _aggregate_metrics(result)
-    obs.publish(result.metrics)
-    if store_obj is not None:
-        # Bank what this run proved — a definitive answer for the result
-        # store, and the contiguous UNSAT prefix for the ledger even on
-        # timeout/cancellation.
-        store_commit(store_obj, key, result, library, start_depth, spec=spec)
-    if trace is not None:
-        library_obj = getattr(instance, "library", library)
-        extra = ({"store_resumed_from": result.store_resumed_from}
-                 if result.store_resumed_from is not None else None)
-        obs.append_record(trace,
-                          obs.build_run_record(result, library_obj,
-                                               extra=extra))
-    obs.emit("run_finished", spec=result.spec_name, engine=instance.name,
-             status=result.status, depth=result.depth,
-             runtime=result.runtime)
-    return result
-
-
-def _aggregate_metrics(result: SynthesisResult) -> None:
-    """Fold per-depth metrics into ``result.metrics`` + driver figures."""
-    totals: Dict[str, float] = {}
-    for step in result.per_depth:
-        obs.merge_metrics(totals, step.metrics)
-    totals["driver.depths_tried"] = len(result.per_depth)
-    totals["driver.unsat_depths"] = sum(
-        1 for s in result.per_depth if s.decision == "unsat")
-    totals["driver.timed_out_depths"] = sum(
-        1 for s in result.per_depth if s.timed_out)
-    result.metrics = totals
+    return run.finish()

@@ -67,12 +67,12 @@ class SynthesisResult:
     is scheduled — so it is *canonical*, not a volatile record field:
     serial and parallel runs of the same configuration agree on it.
 
-    ``store_hit`` / ``store_resumed_from`` carry persistent-store
-    provenance (:mod:`repro.store`): whether the result was served from
-    the result store, and the ledger depth the deepening resumed after.
-    Both describe cache luck, not the computation, so they are excluded
-    from :meth:`to_dict` — the trace layer records them as volatile
-    extras instead.
+    The provenance fields (``store_hit``, ``store_resumed_from``,
+    ``workers``, ``cpu_count``, ``winner_engine``,
+    ``speculation_wasted_depths``) say how the run was served and
+    scheduled, not what it computed, so they stay out of :meth:`to_dict`;
+    :func:`repro.synth.run.run_record` writes the set ones as volatile
+    record fields.
 
     ``engine_instance`` is populated only for ``keep_session=True``
     runs (the serve daemon's warm session pool): it hands the engine —
@@ -95,6 +95,16 @@ class SynthesisResult:
     incremental: bool = False
     store_hit: bool = False
     store_resumed_from: Optional[int] = None
+    #: The stored canonical record a store hit was rebuilt from.
+    store_record: Optional[Dict] = field(
+        default=None, repr=False, compare=False)
+    workers: Optional[int] = None
+    cpu_count: Optional[int] = None
+    winner_engine: Optional[str] = None
+    #: A portfolio race's losers: engine -> its (partial) result.
+    loser_results: Dict[str, "SynthesisResult"] = field(
+        default_factory=dict, repr=False, compare=False)
+    speculation_wasted_depths: Optional[int] = None
     engine_instance: Optional[object] = field(
         default=None, repr=False, compare=False)
 

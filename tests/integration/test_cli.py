@@ -333,3 +333,33 @@ def test_request_cli_connection_refused(tmp_path, capsys):
     missing = str(tmp_path / "nowhere.sock")
     assert main(["request", "--connect", missing, "-b", "3_17"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+
+@pytest.mark.parametrize("flags,provenance", [
+    pytest.param(["--engine", "bdd", "--store", "{store}"], {"store_hit"},
+                 id="warm-store"),
+    pytest.param(["--portfolio"], {"workers", "cpu_count", "winner_engine"},
+                 id="portfolio"),
+    pytest.param(["--engine", "sat", "--workers", "2"],
+                 {"workers", "cpu_count", "speculation_wasted_depths"},
+                 id="speculative"),
+])
+def test_synth_json_record_equals_trace_record(tmp_path, capsys, flags,
+                                               provenance):
+    """``--json`` prints the record ``--trace`` appends, provenance too."""
+    import json as json_module
+    from repro import obs
+    flags = [flag.format(store=tmp_path / "store") for flag in flags]
+    trace = str(tmp_path / "trace.jsonl")
+    command = ["synth", "-b", "3_17", *flags, "--trace", trace, "--json"]
+    if "--store" in flags:
+        assert main(command) == 0  # the cold run warms the store
+    capsys.readouterr()
+    assert main(command) == 0
+    printed = json_module.loads(capsys.readouterr().out)
+    traced = obs.read_records(trace)[-1]
+    assert provenance <= set(printed)
+    printed.pop("unix_time")
+    traced.pop("unix_time")
+    assert printed == traced
