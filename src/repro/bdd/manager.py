@@ -53,12 +53,13 @@ while it is on.
 present) a small kernel that runs the AND/XOR/ITE recursions directly
 over them — same tables, same hash functions, same normalization, so
 Python and C interoperate entry-for-entry.  The kernel allocates only
-from a pre-extended free list and pauses cooperatively (budget
-exhausted, free list empty, table at load limit) so the decisions to
-grow, collect or fire the allocation tick stay in Python.  The table
-bookkeeping those decisions run — unique-table growth and rebuild,
-free-list threading, the GC mark and sweep, compaction — has kernel
-twins as well.  Without a compiler (or with ``use_kernel=False``) the
+from a pre-extended free list and pauses where the Python allocator
+would act (free list empty, table at load limit, allocation tick due),
+calling back into :meth:`BddManager._kernel_service` and resuming in
+place, so the decisions to grow, collect or fire the allocation tick
+stay in Python.  The table bookkeeping those decisions run —
+unique-table growth and rebuild, free-list threading, the GC mark and
+sweep, compaction — has kernel twins as well.  Without a compiler (or with ``use_kernel=False``) the
 pure-Python loops below carry identical semantics, down to the table
 layout and node numbering.
 
@@ -74,6 +75,7 @@ by their creation index.
 from __future__ import annotations
 
 import sys
+import weakref
 from array import array
 from contextlib import contextmanager
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
@@ -181,6 +183,8 @@ class BddManager:
         self.reorder_swaps = 0
         self.utab_grows = 0
         self.compactions = 0
+        self.kernel_services = 0
+        self.kernel_replays = 0
         # Auto-reorder trigger state (see enable_auto_reorder).
         self._reorder_enabled = False
         self._reorder_bounds: Tuple[int, Optional[int]] = (0, None)
@@ -192,15 +196,22 @@ class BddManager:
         # reference semantics either way).  Buffer views into the flat
         # tables are cached between kernel calls and must be dropped
         # before any column resize (arrays cannot grow while exported).
-        self._kffi = self._klib = self._kctx = None
+        # The context reaches this manager's pause service through the
+        # process's one callback and a weak handle, so no cycle through
+        # the kernel keeps the tables alive.
+        self._kffi = self._klib = self._kctx = self._kowner = None
         self._kbufs: Optional[tuple] = None
         self._kbufs_tver = -1
+        self._kpending: Optional[BaseException] = None
         if use_kernel or use_kernel is None:
-            ffi, lib = load_kernel()
+            ffi, lib, service = load_kernel()
             if ffi is not None:
                 self._kffi = ffi
                 self._klib = lib
                 self._kctx = ffi.new("BddCtx *")
+                self._kowner = ffi.new_handle(weakref.ref(self))
+                self._kctx.service = service
+                self._kctx.owner = self._kowner
             elif use_kernel:
                 raise RuntimeError("native BDD kernel unavailable "
                                    "(no cffi/C compiler, or REPRO_BDD_KERNEL=0)")
@@ -617,15 +628,17 @@ class BddManager:
         self._kbufs_tver = self._tver
 
     def _kernel_op(self, fn, *args: int) -> int:
-        """Run one kernel apply call, servicing cooperative pauses.
+        """Run one kernel apply call.
 
-        The kernel returns -1 when it needs Python: the allocation
-        budget ran out (deadline tick due, or the auto-GC threshold
-        crossed), the free list emptied, or the unique table hit its
-        load limit.  Each pause is serviced with the tables in a
-        consistent state and the call re-issued; everything the
-        interrupted run computed is already in the computed cache, so
-        the replay skips straight back to where it paused.
+        The kernel services its pauses in place (see
+        :meth:`_kernel_service`) and resumes the recursion where it
+        stopped.  It unwinds, returning -1, only when the live count
+        reaches the auto-GC threshold: collection needs the roots, and
+        the C frames are invisible to the stack scan.  The call is then
+        replayed after the collection.  A pause whose service raised
+        (the allocation tick's deadline or cancellation) also unwinds,
+        and its exception is re-raised here.  Without a service
+        callback every pause unwinds and is serviced below.
         """
         ctx = self._kctx
         while True:
@@ -635,23 +648,20 @@ class BddManager:
                 self.gc(args)
             if self._free == 0:
                 self._extend_free()
+            # The hand-over of _kernel_enter/_kernel_leave, inlined: it
+            # runs once per apply call, and as two method calls it cost
+            # about 1 % of an exact-bdd pass.
             if self._kbufs is None or self._kbufs_tver != self._tver:
                 self._kernel_bind()
-            budget = 1 << 60
-            if self._alloc_tick is not None:
-                budget = self._tick_countdown
-            if self._gc_enabled:
-                head = self._gc_threshold - self._live
-                if head < budget:
-                    budget = head
             ctx.freehead = self._free
             ctx.live = self._live
             ctx.ucount = self._ucount
             ctx.centries = self._centries
-            ctx.budget = budget
+            ctx.budget = (self._tick_countdown if self._alloc_tick is not None
+                          else 1 << 62)
+            ctx.gclimit = self._gc_threshold if self._gc_enabled else 1 << 62
             ctx.hits = 0
             ctx.misses = 0
-            ctx.allocs = 0
             r = fn(ctx, *args)
             self._free = ctx.freehead
             self._live = ctx.live
@@ -659,13 +669,84 @@ class BddManager:
             self._centries = ctx.centries
             self.ite_cache_hits += ctx.hits
             self._cmisses += ctx.misses
-            if self._alloc_tick is not None and ctx.allocs:
-                self._tick_countdown -= ctx.allocs
-                if self._tick_countdown <= 0:
-                    self._tick_countdown = self._tick_interval
-                    self._alloc_tick()  # may raise; state is consistent
+            if self._alloc_tick is not None:
+                self._tick_countdown = ctx.budget
             if r >= 0:
                 return r
+            pending = self._kpending
+            if pending is not None:
+                self._kpending = None
+                try:
+                    raise pending
+                finally:
+                    del pending  # no frame -> exception -> frame cycle
+            self.kernel_replays += 1
+            self._service_pause(True)
+
+    def _kernel_service(self, after_insert: int) -> int:
+        """Service a kernel pause in place; the kernel's callback.
+
+        Runs :meth:`_fresh`'s policy at the allocation where
+        :meth:`_fresh` runs it, so both paths make the same table and
+        cache traffic.  Returns 0 to resume the kernel, or -1 to unwind
+        it: an exception cannot cross the C frames, so it is stashed
+        for :meth:`_kernel_op` to re-raise.
+        """
+        self.kernel_services += 1
+        self._kernel_leave()
+        try:
+            self._service_pause(after_insert)
+        except BaseException as exc:
+            self._kpending = exc
+            return -1
+        finally:
+            # Even when unwinding: _kernel_op reads the context back.
+            self._kernel_enter()
+        return 0
+
+    def _service_pause(self, after_insert: int) -> None:
+        """The allocator policy of :meth:`_fresh` around one insert.
+
+        Before it, extend an empty free list; after it, grow the unique
+        table past load 0.5 (the computed cache grows with it) and fire
+        the allocation tick when due (it may raise).
+        """
+        if not after_insert:
+            if self._free == 0:
+                self._extend_free()
+            return
+        if (self._ucount << 1) > self._umask:
+            self._grow_utab()
+        if self._alloc_tick is not None and self._tick_countdown <= 0:
+            self._tick_countdown = self._tick_interval
+            self._alloc_tick()
+
+    def _kernel_enter(self) -> None:
+        """Hand the table state to the kernel context."""
+        if self._kbufs is None or self._kbufs_tver != self._tver:
+            self._kernel_bind()
+        ctx = self._kctx
+        ctx.freehead = self._free
+        ctx.live = self._live
+        ctx.ucount = self._ucount
+        ctx.centries = self._centries
+        ctx.budget = (self._tick_countdown if self._alloc_tick is not None
+                      else 1 << 62)
+        ctx.gclimit = self._gc_threshold if self._gc_enabled else 1 << 62
+        ctx.hits = 0
+        ctx.misses = 0
+
+    def _kernel_leave(self) -> None:
+        """Take the table state and counters back from the context."""
+        ctx = self._kctx
+        self._free = ctx.freehead
+        self._live = ctx.live
+        self._ucount = ctx.ucount
+        self._centries = ctx.centries
+        self.ite_cache_hits += ctx.hits
+        self._cmisses += ctx.misses
+        if self._alloc_tick is not None:
+            self._tick_countdown = ctx.budget
 
     def _and_py(self, f: int, g: int) -> int:
         st = [g, f]
@@ -1919,6 +2000,8 @@ class BddManager:
             "reorder_swaps": self.reorder_swaps,
             "utab_grows": self.utab_grows,
             "compactions": self.compactions,
+            "kernel_services": self.kernel_services,
+            "kernel_replays": self.kernel_replays,
             "kernel": int(self._klib is not None),
             "bytes": self.bytes_used(),
         }

@@ -11,16 +11,27 @@ byte the same table layout as the pure-Python loops in
 ``repro.bdd.manager``.  Python and C interoperate on one set of
 tables — a cache entry written by either side hits in the other.
 
-**Cooperative pauses.**  The apply recursions never call back into
-Python.  They allocate nodes only from the free list and decrement a
-caller-set allocation budget; when the budget hits zero, the free list
-empties, or the unique table reaches its load limit, the recursion
-unwinds returning ``-1`` and the manager services the pause (fire the
-allocation tick, extend the columns, grow the table, collect) before
-re-invoking the same call.  Replays are cheap: everything computed
-before the pause is already in the computed cache.  This keeps every
-policy decision — deadlines, GC thresholds, reordering, when to grow
-— in Python, where the rest of the repo can observe it.
+**Pauses serviced in place.**  The apply recursions allocate nodes
+only from the free list.  Where the manager's Python allocator
+(``_fresh``) would act, the kernel pauses and calls back into Python
+through the context's ``service`` pointer: before an insert when the
+free list is empty (extend the columns), right after it when the
+unique table passes load 0.5 (grow it, and the computed cache with it)
+or the allocation budget, the countdown to the next allocation tick,
+runs out (fire the tick).  The service rebinds the context to the new
+tables, and the recursion re-reads them and continues where it
+stopped; ``AND``/``XOR``/``ITE`` re-mask their cache hash after
+recursing, since the cache may have been resized meanwhile.  So both
+paths make the same table and cache traffic, and every policy
+decision, such as deadlines, GC thresholds or when to grow, stays in
+Python, where the rest of the repo can observe it.  Three cases unwind
+the recursion, returning ``-1``.  A service that raises (a deadline or
+cancellation from the tick) is stashed and re-raised once the kernel
+has returned, because an exception cannot cross the C frames.  Auto-GC
+needs the roots, and the C frames are invisible to Python's stack
+scan, so the kernel unwinds at the GC threshold and the manager
+collects and replays the call.  A NULL ``service`` (no callback could
+be created) makes every pause unwind and replay that way.
 
 **Table bookkeeping.**  The loops that service those decisions are
 kernel routines too, each the twin of a pure-Python loop in the
@@ -79,9 +90,11 @@ typedef struct {
     int64_t ucount;
     int64_t centries;
     int64_t budget;
+    int64_t gclimit;
     int64_t hits;
     int64_t misses;
-    int64_t allocs;
+    int (*service)(void *, int);
+    void *owner;
 } BddCtx;
 
 int64_t bdd_and(BddCtx *c, int64_t f, int64_t g);
@@ -126,14 +139,31 @@ typedef struct {
     int64_t ucount;
     int64_t centries;
     int64_t budget;
+    int64_t gclimit;
     int64_t hits;
     int64_t misses;
-    int64_t allocs;
+    int (*service)(void *, int);
+    void *owner;
 } BddCtx;
 
-/* Hash-consed node constructor; mirrors BddManager._mk_level.  Returns
- * the edge, or -1 to request a pause (budget exhausted, free list
- * empty, or unique table at its load limit). */
+#define UHASH(l, h, v, mask) (((uint64_t)(l) * 10000019u \
+        + (uint64_t)(h) * 8388617u + (uint64_t)(v)) & (uint64_t)(mask))
+#define CHASH(f, g) (((uint64_t)(f) * 40503u) ^ ((uint64_t)(g) * 10000019u))
+
+/* Hand a pause to the manager's service function: 0 means serviced
+ * (tables may have moved, so callers re-read the context), nonzero means
+ * unwind.  A NULL service always unwinds. */
+static int pause(BddCtx *c, int after_insert)
+{
+    return c->service ? c->service(c->owner, after_insert) : -1;
+}
+
+/* Hash-consed node constructor; mirrors BddManager._mk_level/_fresh.
+ * Pauses where _fresh acts: an empty free list before the insert, table
+ * growth and the allocation tick (``budget`` counts down to it) right
+ * after.  Returns the edge, or -1 to unwind: the live count reached the
+ * auto-GC limit (collection needs Python's view of the roots, so the
+ * call is replayed after it), or a pause was not serviced in place. */
 static int64_t mk(BddCtx *c, int64_t level, int64_t lo, int64_t hi)
 {
     int64_t comp, n;
@@ -145,37 +175,39 @@ static int64_t mk(BddCtx *c, int64_t level, int64_t lo, int64_t hi)
         lo ^= 1;
         hi ^= 1;
     }
-    slot = ((uint64_t)lo * 10000019u + (uint64_t)hi * 8388617u
-            + (uint64_t)level) & (uint64_t)c->umask;
     for (;;) {
-        n = c->utab[slot];
-        if (n == 0) {
-            if (c->budget <= 0 || c->freehead == 0
-                    || (c->ucount << 1) > c->umask)
-                return -1;
-            n = c->freehead;
-            c->freehead = c->lo[n];
-            c->var[n] = (int32_t)level;
-            c->lo[n] = lo;
-            c->hi[n] = hi;
-            c->utab[slot] = (int32_t)n;
-            c->ucount++;
-            c->live++;
-            c->allocs++;
-            c->budget--;
-            return (n << 1) | comp;
+        slot = UHASH(lo, hi, level, c->umask);
+        while ((n = c->utab[slot]) != 0) {
+            if (c->lo[n] == lo && c->hi[n] == hi
+                    && c->var[n] == (int32_t)level)
+                return (n << 1) | comp;
+            slot = (slot + 1) & (uint64_t)c->umask;
         }
-        if (c->lo[n] == lo && c->hi[n] == hi && c->var[n] == (int32_t)level)
-            return (n << 1) | comp;
-        slot = (slot + 1) & (uint64_t)c->umask;
+        if (c->live >= c->gclimit)
+            return -1;
+        if (c->freehead)
+            break;
+        if (pause(c, 0))
+            return -1;
     }
+    n = c->freehead;
+    c->freehead = c->lo[n];
+    c->var[n] = (int32_t)level;
+    c->lo[n] = lo;
+    c->hi[n] = hi;
+    c->utab[slot] = (int32_t)n;
+    c->ucount++;
+    c->live++;
+    if ((--c->budget <= 0 || (c->ucount << 1) > c->umask) && pause(c, 1))
+        return -1;
+    return (n << 1) | comp;
 }
 
 int64_t bdd_and(BddCtx *c, int64_t f, int64_t g)
 {
     int64_t t, fi, gi, f0, f1, g0, g1, rlo, rhi, res;
     int32_t lf, lg, level;
-    uint64_t slot;
+    uint64_t hash, slot;
     if (f == g)
         return f;
     if (f > g) {
@@ -189,8 +221,8 @@ int64_t bdd_and(BddCtx *c, int64_t f, int64_t g)
         return g;
     if ((f ^ g) == 1)
         return 0;
-    slot = (((uint64_t)f * 40503u) ^ ((uint64_t)g * 10000019u))
-        & (uint64_t)c->cmask;
+    hash = CHASH(f, g);
+    slot = hash & (uint64_t)c->cmask;
     if (c->ck1[slot] == ((f << 2) | 1) && c->ck2[slot] == ((g << 16) | c->gen)) {
         c->hits++;
         return c->cres[slot];
@@ -223,6 +255,7 @@ int64_t bdd_and(BddCtx *c, int64_t f, int64_t g)
     res = mk(c, level, rlo, rhi);
     if (res < 0)
         return -1;
+    slot = hash & (uint64_t)c->cmask;  /* a pause may have resized the cache */
     if ((c->ck2[slot] & 0xFFFF) != c->gen)
         c->centries++;
     c->ck1[slot] = (f << 2) | 1;
@@ -236,7 +269,7 @@ int64_t bdd_xor(BddCtx *c, int64_t f, int64_t g)
 {
     int64_t t, comp, fi, gi, f0, f1, g0, g1, rlo, rhi, res;
     int32_t lf, lg, level;
-    uint64_t slot;
+    uint64_t hash, slot;
     comp = (f ^ g) & 1;
     f &= ~(int64_t)1;
     g &= ~(int64_t)1;
@@ -249,8 +282,8 @@ int64_t bdd_xor(BddCtx *c, int64_t f, int64_t g)
     }
     if (f == 0)
         return g ^ comp;
-    slot = (((uint64_t)f * 40503u) ^ ((uint64_t)g * 10000019u))
-        & (uint64_t)c->cmask;
+    hash = CHASH(f, g);
+    slot = hash & (uint64_t)c->cmask;
     if (c->ck1[slot] == ((f << 2) | 2) && c->ck2[slot] == ((g << 16) | c->gen)) {
         c->hits++;
         return c->cres[slot] ^ comp;
@@ -281,6 +314,7 @@ int64_t bdd_xor(BddCtx *c, int64_t f, int64_t g)
     res = mk(c, level, rlo, rhi);
     if (res < 0)
         return -1;
+    slot = hash & (uint64_t)c->cmask;  /* a pause may have resized the cache */
     if ((c->ck2[slot] & 0xFFFF) != c->gen)
         c->centries++;
     c->ck1[slot] = (f << 2) | 2;
@@ -294,7 +328,7 @@ int64_t bdd_ite(BddCtx *c, int64_t f, int64_t g, int64_t h)
 {
     int64_t t, fi, gi, hi_i, comp, f0, f1, g0, g1, h0, h1, rlo, rhi, res;
     int32_t level, lv;
-    uint64_t slot;
+    uint64_t hash, slot;
     if (f == 1)
         return g;
     if (f == 0)
@@ -342,8 +376,8 @@ int64_t bdd_ite(BddCtx *c, int64_t f, int64_t g, int64_t h)
         g ^= 1;
         h ^= 1;
     }
-    slot = (((uint64_t)f * 40503u) ^ ((uint64_t)g * 10000019u)
-            ^ ((uint64_t)h * 97u)) & (uint64_t)c->cmask;
+    hash = CHASH(f, g) ^ ((uint64_t)h * 97u);
+    slot = hash & (uint64_t)c->cmask;
     if (c->ck1[slot] == ((f << 2) | 3) && c->ck2[slot] == ((g << 16) | c->gen)
             && c->ck3[slot] == h) {
         c->hits++;
@@ -387,6 +421,7 @@ int64_t bdd_ite(BddCtx *c, int64_t f, int64_t g, int64_t h)
     res = mk(c, level, rlo, rhi);
     if (res < 0)
         return -1;
+    slot = hash & (uint64_t)c->cmask;  /* a pause may have resized the cache */
     if ((c->ck2[slot] & 0xFFFF) != c->gen)
         c->centries++;
     c->ck1[slot] = (f << 2) | 3;
@@ -402,8 +437,6 @@ int64_t bdd_ite(BddCtx *c, int64_t f, int64_t g, int64_t h)
  * slots and nodes in the same order with the same hash, so both produce
  * byte-identical tables and columns. */
 
-#define UHASH(l, h, v, mask) (((uint64_t)(l) * 10000019u \
-        + (uint64_t)(h) * 8388617u + (uint64_t)(v)) & (uint64_t)(mask))
 #define MARKED(bits, i) (((bits)[(i) >> 6] >> ((i) & 63)) & 1u)
 
 /* _grow_utab: re-insert every occupied slot of ``old``, in slot order,
@@ -571,7 +604,7 @@ int64_t bdd_compact_copy(const int32_t *var, const int64_t *lo,
 }
 """
 
-_kernel: Tuple[Optional[Any], Optional[Any]] = (None, None)
+_kernel: Tuple[Optional[Any], Optional[Any], Optional[Any]] = (None, None, None)
 _attempted = False
 
 
@@ -579,7 +612,7 @@ def _cache_dir() -> str:
     return os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kcache")
 
 
-def _build() -> Optional[Tuple[Any, Any]]:
+def _build() -> Optional[Tuple[Any, Any, Any]]:
     if os.environ.get("REPRO_BDD_KERNEL", "1") == "0":
         return None
     from array import array
@@ -614,15 +647,35 @@ def _build() -> Optional[Tuple[Any, Any]]:
         lib = ffi.dlopen(so_path)
     except (OSError, cffi.FFIError, cffi.CDefError):
         return None
-    return ffi, lib
+    return ffi, lib, _service_callback(ffi)
 
 
-def load_kernel() -> Tuple[Optional[Any], Optional[Any]]:
-    """Return ``(ffi, lib)`` for the compiled kernel, or ``(None, None)``.
+def _service_callback(ffi: Any) -> Any:
+    """The process's one pause-service callback, or ``ffi.NULL``.
 
-    The build attempt is memoized per process; failures (no compiler,
-    no cffi, opt-out via ``REPRO_BDD_KERNEL=0``) degrade silently to
-    the pure-Python loops.
+    A context's ``owner`` is a handle to a weak reference to its
+    manager, so the callback keeps no manager alive.  Where the
+    platform refuses to create callbacks (no writable-executable
+    memory), NULL makes every pause unwind to ``_kernel_op`` instead.
+    """
+    def service(owner: Any, after_insert: int) -> int:
+        # The manager is alive: its _kernel_op is the kernel's caller.
+        return ffi.from_handle(owner)()._kernel_service(after_insert)
+
+    try:
+        return ffi.callback("int(void *, int)", service, error=-1)
+    except MemoryError:
+        return ffi.NULL
+
+
+def load_kernel() -> Tuple[Optional[Any], Optional[Any], Optional[Any]]:
+    """Return ``(ffi, lib, service)`` for the compiled kernel.
+
+    ``service`` is the pause-service callback every manager's context
+    shares (``ffi.NULL`` where callbacks are unavailable).  Without a
+    kernel all three are ``None``: the build attempt is memoized per
+    process, and failures (no compiler, no cffi, opt-out via
+    ``REPRO_BDD_KERNEL=0``) degrade silently to the pure-Python loops.
     """
     global _kernel, _attempted
     if not _attempted:

@@ -4,7 +4,9 @@ Engines publish into a flat, dot-namespaced metric space; the stable
 names are documented in ``docs/observability.md``:
 
 * ``bdd.*``    — BDD manager figures (``bdd.nodes``, ``bdd.ite_cache_hits``,
-  ``bdd.quant_calls``, ``bdd.peak_nodes``, ...),
+  ``bdd.quant_calls``, ``bdd.peak_nodes``, the table-bookkeeping
+  counters ``bdd.utab_grows``, ``bdd.compactions``,
+  ``bdd.kernel_services`` and ``bdd.kernel_replays``, ...),
 * ``sat.*``    — CDCL solver figures (``sat.conflicts``, ``sat.decisions``,
   ``sat.propagations``, ``sat.vars``, ``sat.clauses``, ...),
 * ``qbf.*``    — QBF solver figures including universal-expansion sizes,

@@ -39,8 +39,11 @@ from repro.synth.universal import BddAlgebra, universal_gate_stage
 
 __all__ = ["DepthOutcome", "BddSynthesisEngine"]
 
-#: Manager table-bookkeeping counters reported per depth as ``bdd.<name>``.
-_BOOKKEEPING_COUNTERS = ("utab_grows", "compactions")
+#: Manager table-bookkeeping counters reported per depth as ``bdd.<name>``:
+#: unique-table doublings, compactions, native-kernel pauses serviced in
+#: place, and kernel calls unwound and replayed (auto-GC).
+_BOOKKEEPING_COUNTERS = ("utab_grows", "compactions", "kernel_services",
+                         "kernel_replays")
 
 
 @dataclass

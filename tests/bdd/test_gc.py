@@ -7,11 +7,16 @@ unlike ``compact`` — while dead nodes return to the free list and the
 live count shrinks.  Answers must be unchanged afterwards.
 """
 
+import gc
 import random
+import time
+import weakref
 
 import pytest
 
+from repro import synthesize
 from repro.bdd.manager import FALSE, TRUE, BddManager
+from repro.functions import get_spec
 
 
 def _random_function(manager, rng, n=6, terms=12):
@@ -231,6 +236,22 @@ def _assert_same_tables(kernel, pure):
     assert kernel._refs == pure._refs
 
 
+def _interleaved_pair(manager, n=10, seed=3):
+    """Random functions of the even and of the odd variables: operands of
+    a few hundred nodes whose AND allocates ~25k nodes in one call."""
+    rng = random.Random(seed)
+    half = 1 << (n - 1)
+    f = manager.from_minterms(list(range(0, 2 * n, 2)),
+                              sorted(rng.sample(range(1 << n), half)))
+    g = manager.from_minterms(list(range(1, 2 * n, 2)),
+                              sorted(rng.sample(range(1 << n), half)))
+    return f, g
+
+
+def _apply_counters(manager):
+    return (manager.ite_cache_hits, manager._cmisses, manager._centries)
+
+
 class TestKernelParity:
     def test_kernel_and_pure_python_build_identical_edges(self):
         _require_kernel()
@@ -318,3 +339,120 @@ class TestKernelParity:
         assert kernel.compact([root_k]) == pure.compact([root_p])
         _assert_same_tables(kernel, pure)
         assert -2 not in kernel._var
+
+    def test_pauses_in_one_and_are_serviced_where_the_reference_does(self):
+        # A single kernel call crosses several unique-table doublings,
+        # a computed-cache resize and many tick firings.  Serviced in
+        # place at the allocation where _fresh services them, the kernel
+        # makes exactly the reference loops' table and cache traffic.
+        _require_kernel()
+        runs = []
+        for use_kernel in (True, False):
+            manager = BddManager(20, use_kernel=use_kernel)
+            f, g = _interleaved_pair(manager)
+            fired = []
+            manager.set_alloc_tick(lambda: fired.append(1), interval=1024)
+            grows, csize = manager.utab_grows, manager._csize
+            edge = manager.and_(f, g)
+            runs.append((manager, edge, len(fired),
+                         manager.utab_grows - grows, csize))
+        (kernel, edge_k, fired_k, grows_k, csize_k), \
+            (pure, edge_p, fired_p, grows_p, _) = runs
+        assert edge_k == edge_p
+        assert grows_k == grows_p >= 3
+        assert kernel._csize == pure._csize > csize_k
+        assert fired_k == fired_p >= 3
+        assert _apply_counters(kernel) == _apply_counters(pure)
+        assert kernel.kernel_services >= fired_k  # one service per tick
+        assert kernel.kernel_replays == 0
+        n = len(pure._var)
+        assert bytes(kernel._utab) == bytes(pure._utab)
+        assert kernel._var[:n] == pure._var
+        assert kernel._lo[:n] == pure._lo
+        assert kernel._hi[:n] == pure._hi
+
+    def test_null_service_unwinds_and_replays(self):
+        # Without the service callback every pause unwinds to Python,
+        # which services it and replays the call: same edges and tables,
+        # with the replays counted.
+        _require_kernel()
+        kernel = BddManager(20)
+        kernel._kctx.service = kernel._kffi.NULL
+        pure = BddManager(20, use_kernel=False)
+        edges = [manager.and_(*_interleaved_pair(manager))
+                 for manager in (kernel, pure)]
+        assert edges[0] == edges[1]
+        assert bytes(kernel._utab) == bytes(pure._utab)
+        assert kernel.kernel_services == 0
+        assert kernel.kernel_replays >= 3
+
+
+class TestKernelPauseService:
+    """The tick fires inside a running kernel call; these guard that a
+    deadline or cancellation raised there is as strong as before."""
+
+    def test_raising_tick_escapes_mid_and(self, capsys):
+        _require_kernel()
+        error = TimeoutError("deadline")
+        managers = (BddManager(20), BddManager(20, use_kernel=False))
+        edges = []
+        for manager in managers:
+            f, g = _interleaved_pair(manager)
+            fired = []
+
+            def tick():
+                fired.append(1)
+                if len(fired) == 3:
+                    raise error
+
+            manager.set_alloc_tick(tick, interval=1024)
+            with pytest.raises(TimeoutError) as excinfo:
+                manager.and_(f, g)
+            assert excinfo.value is error  # the same object, not a copy
+            del excinfo
+            assert len(fired) == 3
+            # The aborted call left consistent tables: the next AND
+            # runs to the end and matches the reference loops.
+            manager.set_alloc_tick(None)
+            edges.append(manager.and_(f, g))
+        kernel, pure = managers
+        assert capsys.readouterr().err == ""  # no cffi callback traceback
+        assert edges[0] == edges[1]
+        assert _apply_counters(kernel) == _apply_counters(pure)
+        assert bytes(kernel._utab) == bytes(pure._utab)
+        assert kernel.kernel_replays == 0
+
+    def test_deadline_stops_bdd_synthesis_on_time(self):
+        start = time.perf_counter()
+        result = synthesize(get_spec("hwb4"), engine="bdd", time_limit=1.0)
+        assert result.status == "timeout"
+        assert time.perf_counter() - start < 5.0
+
+    def test_callback_holds_no_reference_cycle(self):
+        _require_kernel()
+        enabled = gc.isenabled()
+        for tick in (None, _raise_timeout):
+            manager = BddManager(20)
+            operands = _interleaved_pair(manager)
+            # from_minterms' recursive closure is a cycle of its own.
+            gc.collect()
+            gc.disable()
+            try:
+                # An AND whose pauses are serviced in place, or whose
+                # service stashes an exception that is then re-raised.
+                manager.set_alloc_tick(tick, interval=64)
+                try:
+                    manager.and_(*operands)
+                except TimeoutError:
+                    pass
+                assert manager.kernel_services > 0
+                ref = weakref.ref(manager)
+                del manager
+                assert ref() is None
+            finally:
+                if enabled:
+                    gc.enable()
+
+
+def _raise_timeout():
+    raise TimeoutError("deadline")

@@ -108,6 +108,24 @@ class TestEngineOptions:
 
 
 class TestMemoryMetrics:
+    def test_kernel_pause_counters_per_depth(self):
+        # Every depth reports its kernel pauses: serviced in place, and
+        # unwound and replayed (only auto-GC replays, which the engine
+        # never arms).  Both are resource figures, out of canonical
+        # records like every bdd.* metric but bdd.solutions.
+        from repro.bdd.tables import kernel_available
+        result = synthesize(get_spec("mod5d1_s"), engine="bdd")
+        for stat in result.per_depth:
+            assert stat.metrics["bdd.kernel_replays"] == 0
+            assert stat.metrics["bdd.kernel_services"] >= 0
+        services = result.metrics["bdd.kernel_services"]
+        assert (services > 0) == kernel_available()
+        record = obs.build_run_record(result)
+        canonical = obs.canonical_record(record)["metrics"]
+        for key in ("bdd.kernel_services", "bdd.kernel_replays"):
+            assert key in record["metrics"]
+            assert key not in canonical
+
     def test_bdd_bytes_and_counters_reach_the_record(self):
         result = synthesize(get_spec("3_17"), engine="bdd",
                             gc_threshold=2000)
