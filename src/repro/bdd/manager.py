@@ -59,9 +59,11 @@ calling back into :meth:`BddManager._kernel_service` and resuming in
 place, so the decisions to grow, collect or fire the allocation tick
 stay in Python.  The table bookkeeping those decisions run —
 unique-table growth and rebuild, free-list threading, the GC mark and
-sweep, compaction — has kernel twins as well.  Without a compiler (or with ``use_kernel=False``) the
-pure-Python loops below carry identical semantics, down to the table
-layout and node numbering.
+sweep, compaction — has kernel twins as well, and so has the model
+walk behind ``count_models``/``iter_models``/``model_codes``.  Without
+a compiler (or with ``use_kernel=False``) the pure-Python loops below
+carry identical semantics, down to the table layout, node numbering and
+model order.
 
 **Levels vs variable ids.**  v2 equated a variable's id with its order
 position.  Sifting-based reordering (``repro.bdd.reorder``) permutes
@@ -116,6 +118,9 @@ _CH3 = 97
 _GEN_MASK = 0xFFFF
 _MIN_UTAB = 1 << 12
 _MAX_CACHE = 1 << 20
+# Rows a model walk first makes room for; a larger answer is walked again
+# into a buffer of its exact size.
+_MODEL_ROWS = 1024
 
 
 class BddManager:
@@ -185,6 +190,9 @@ class BddManager:
         self.compactions = 0
         self.kernel_services = 0
         self.kernel_replays = 0
+        self.kernel_free_extends = 0    # kernel pauses serviced, by reason
+        self.kernel_utab_grows = 0
+        self.kernel_ticks = 0
         # Auto-reorder trigger state (see enable_auto_reorder).
         self._reorder_enabled = False
         self._reorder_bounds: Tuple[int, Optional[int]] = (0, None)
@@ -709,15 +717,20 @@ class BddManager:
 
         Before it, extend an empty free list; after it, grow the unique
         table past load 0.5 (the computed cache grows with it) and fire
-        the allocation tick when due (it may raise).
+        the allocation tick when due (it may raise).  Each reason
+        serviced is counted (``kernel_free_extends``,
+        ``kernel_utab_grows``, ``kernel_ticks``); one pause may have two.
         """
         if not after_insert:
             if self._free == 0:
+                self.kernel_free_extends += 1
                 self._extend_free()
             return
         if (self._ucount << 1) > self._umask:
+            self.kernel_utab_grows += 1
             self._grow_utab()
         if self._alloc_tick is not None and self._tick_countdown <= 0:
+            self.kernel_ticks += 1
             self._tick_countdown = self._tick_interval
             self._alloc_tick()
 
@@ -1614,41 +1627,7 @@ class BddManager:
         walks the diagram in *level* order (the count is independent of
         enumeration order), so it stays correct under any reordering.
         """
-        var_list = sorted(set(variables))
-        missing = self.support(f) - set(var_list)
-        if missing:
-            raise ValueError(f"variables {sorted(missing)} in support but not counted")
-        level_of_var = self._level_of_var
-        by_level = sorted(var_list, key=lambda v: level_of_var[v])
-        position = {level_of_var[v]: i for i, v in enumerate(by_level)}
-        total = len(var_list)
-
-        # Memoized per *edge*: a node and its complement count
-        # differently, and both can be reachable in one diagram.
-        memo: Dict[int, int] = {}
-
-        def level_of(node: int) -> int:
-            return position[self._var[node >> 1]] if node > 1 else total
-
-        def rec(node: int) -> int:
-            # models over variables at positions level_of(node)..total-1
-            if node == FALSE:
-                return 0
-            if node == TRUE:
-                return 1
-            cached = memo.get(node)
-            if cached is not None:
-                return cached
-            here = level_of(node)
-            index = node >> 1
-            comp = node & 1
-            result = 0
-            for child in (self._lo[index] ^ comp, self._hi[index] ^ comp):
-                result += rec(child) << (level_of(child) - here - 1)
-            memo[node] = result
-            return result
-
-        return rec(f) << level_of(f)
+        return self.model_codes(f, variables, limit=0)[0]
 
     def iter_models(self, f: int, variables: Sequence[int]) -> Iterator[Dict[int, bool]]:
         """Yield every satisfying assignment over exactly ``variables``.
@@ -1658,38 +1637,186 @@ class BddManager:
         order of the variable list — which requires the diagram's level
         order to agree with the sorted-id order on these variables
         (callers that reorder restore the block first; see
-        ``reorder.restore_block_order``).
+        ``reorder.restore_block_order``).  Rows are fetched from
+        :meth:`model_codes` in growing windows, so taking a few models
+        of a huge set stays cheap.
         """
         var_list = sorted(set(variables))
-        missing = self.support(f) - set(var_list)
-        if missing:
-            raise ValueError(f"variables {sorted(missing)} in support but not enumerated")
+        k = len(var_list)
+        start, window = 0, 256
+        while True:
+            count, codes = self.model_codes(f, var_list, limit=window,
+                                            start=start)
+            rows = min(count - start, window)
+            for row in range(rows):
+                yield {var: codes[row * k + i] == 1
+                       for i, var in enumerate(var_list)}
+            start += rows
+            if start >= count:
+                return
+            window <<= 1
+
+    def model_codes(self, f: int, variables: Sequence[int], width: int = 1,
+                    limit: Optional[int] = None,
+                    start: int = 0) -> Tuple[int, array]:
+        """Count ``f``'s models over ``variables`` and list them as codes.
+
+        The one model walk behind :meth:`count_models`,
+        :meth:`iter_models` and the synthesis engine's answer
+        extraction.  Returns ``(count, codes)``: the exact model count
+        over exactly ``variables`` (a superset of the support) and the
+        models ``start .. start + limit - 1`` (all from ``start`` when
+        ``limit`` is None), in :meth:`iter_models`' lexicographic order
+        of the sorted variable ids.  Each model is ``len(variables) //
+        width`` consecutive entries of the ``array('i')``: code ``g``
+        packs the values of sorted variables ``g*width .. g*width+width-1``,
+        the first one as the most significant bit — one gate-select
+        block per code, for the engine.  ``limit=0`` only counts, in
+        level order, so it needs no agreement between level and id
+        order; listing models does, and refuses a scrambled order.
+
+        The native kernel's ``bdd_models`` runs the walk when attached;
+        :meth:`_models_py` is its pure-Python twin with identical output.
+        A native count past 64 bits falls back to the twin's exact count.
+        """
+        var_list = sorted(set(variables))
+        k = len(var_list)
+        if not 1 <= width <= 30 or k % width:
+            raise ValueError(f"width {width} does not split {k} variables "
+                             "into codes")
+        if start < 0 or (limit is not None and limit < 0):
+            raise ValueError("start and limit must not be negative")
         level_of_var = self._level_of_var
         levels = [level_of_var[v] for v in var_list]
-        if any(levels[i] >= levels[i + 1] for i in range(len(levels) - 1)):
-            raise ValueError(
-                "diagram level order disagrees with the enumeration order; "
-                "restore the block order before iterating models")
+        if limit != 0:
+            if any(levels[i] >= levels[i + 1] for i in range(k - 1)):
+                raise ValueError(
+                    "diagram level order disagrees with the enumeration "
+                    "order; restore the block order before iterating models")
+        else:
+            levels.sort()
+        pos = array("i", (-1,)) * (self.num_vars + 1)
+        for i, level in enumerate(levels):
+            pos[level] = i
+        if self._klib is None:
+            walked = self._models_py(f, pos, k, width, start, limit)
+        else:
+            room = _MODEL_ROWS if limit is None else min(limit, _MODEL_ROWS)
+            walked = self._models_kernel(f, pos, k, width, start, room)
+            if walked is not None:
+                want = max(walked[0] - start, 0)
+                if limit is not None:
+                    want = min(want, limit)
+                if want > room:
+                    walked = self._models_kernel(f, pos, k, width, start,
+                                                 want)
+        if walked is None:
+            missing = sorted(self.support(f) - set(var_list))
+            raise ValueError(f"variables {missing} in support but not listed")
+        return walked
 
-        def rec(node: int, depth: int, partial: Dict[int, bool]) -> Iterator[Dict[int, bool]]:
-            if node == FALSE:
-                return
-            if depth == len(var_list):
-                yield dict(partial)
-                return
-            var = var_list[depth]
-            if node > 1 and self._var[node >> 1] == level_of_var[var]:
-                comp = node & 1
-                branches = ((False, self._lo[node >> 1] ^ comp),
-                            (True, self._hi[node >> 1] ^ comp))
+    def _models_kernel(self, f: int, pos: array, k: int, width: int,
+                       start: int, room: int) -> Optional[Tuple[int, array]]:
+        """One ``bdd_models`` call writing at most ``room`` rows."""
+        ffi = self._kffi
+        if self._kbufs is None or self._kbufs_tver != self._tver:
+            self._kernel_bind()
+        codes = array("i", bytes(4 * (room * (k // width) + 1)))
+        count = ffi.new("uint64_t[2]")
+        rows = self._klib.bdd_models(
+            *self._kbufs[:3], ffi.from_buffer("int32_t[]", pos), k, width,
+            f, start, room, ffi.from_buffer("int32_t[]", codes), count)
+        if rows == -2:
+            return None
+        if rows < 0:
+            raise MemoryError("model walk ran out of memory")
+        total = self._count_py(f, pos, k) if count[1] else count[0]
+        del codes[rows * (k // width):]
+        return total, codes
+
+    def _count_py(self, f: int, pos: array, k: int) -> Optional[int]:
+        """Models of ``f`` over the ``k`` listed levels (see ``_models_py``)."""
+        var, lo, hi = self._var, self._lo, self._hi
+        memo = {FALSE: 0, TRUE: 1}
+        stack = [f]
+        while stack:
+            e = stack[-1]
+            if e in memo:
+                stack.pop()
+                continue
+            n = e >> 1
+            p = pos[var[n]]
+            if p < 0:
+                return None
+            low = lo[n] ^ (e & 1)
+            high = hi[n] ^ (e & 1)
+            if low not in memo:
+                stack.append(low)
+                continue
+            if high not in memo:
+                stack.append(high)
+                continue
+            stack.pop()
+            memo[e] = ((memo[low] << ((pos[var[low >> 1]] if low > 1 else k)
+                                      - p - 1))
+                       + (memo[high] << ((pos[var[high >> 1]] if high > 1
+                                          else k) - p - 1)))
+        return memo[f] << (pos[var[f >> 1]] if f > 1 else k)
+
+    def _models_py(self, f: int, pos: array, k: int, width: int, start: int,
+                   limit: Optional[int]) -> Optional[Tuple[int, array]]:
+        """Pure-Python twin of the kernel's ``bdd_models``.
+
+        ``pos`` maps a level to its position in the variable list (-1:
+        not listed).  Counts the models of ``f`` over the ``k`` listed
+        positions, memoized per edge, then walks the positions depth
+        first, low branch first, expanding the levels the diagram skips,
+        and writes models ``start ..`` (at most ``limit``) as rows of
+        ``k // width`` codes.  Returns None when ``f`` tests an unlisted
+        level.
+        """
+        count = self._count_py(f, pos, k)
+        if count is None:
+            return None
+        ncodes = k // width
+        codes = array("i")
+        if f == FALSE or limit == 0:
+            return count, codes
+        var, lo, hi = self._var, self._lo, self._hi
+        code = [0] * ncodes
+        edge = [f] * (k + 1)
+        branch = [0] * (k + 1)
+        seen = written = 0
+        p = 0
+        while p >= 0:
+            if p == k:  # edge[k] is TRUE: one model
+                if seen >= start:
+                    codes.extend(code)
+                    written += 1
+                    if written == limit:
+                        break
+                seen += 1
+                p -= 1
+                continue
+            side = branch[p]
+            if side == 2:
+                p -= 1
+                continue
+            branch[p] = side + 1
+            e = edge[p]
+            if e > 1 and pos[var[e >> 1]] == p:
+                child = (hi[e >> 1] if side else lo[e >> 1]) ^ (e & 1)
             else:
-                branches = ((False, node), (True, node))
-            for value, child in branches:
-                partial[var] = value
-                yield from rec(child, depth + 1, partial)
-            del partial[var]
-
-        yield from rec(f, 0, {})
+                child = e  # the diagram skips this level
+            if child == FALSE:
+                continue
+            g, shift = divmod(p, width)
+            bit = 1 << (width - 1 - shift)
+            code[g] = (code[g] | bit) if side else (code[g] & ~bit)
+            edge[p + 1] = child
+            branch[p + 1] = 0
+            p += 1
+        return count, codes
 
     def sat_one(self, f: int) -> Optional[Dict[int, bool]]:
         """One satisfying assignment over ``support(f)``; None if UNSAT."""
@@ -2002,6 +2129,9 @@ class BddManager:
             "compactions": self.compactions,
             "kernel_services": self.kernel_services,
             "kernel_replays": self.kernel_replays,
+            "kernel_free_extends": self.kernel_free_extends,
+            "kernel_utab_grows": self.kernel_utab_grows,
+            "kernel_ticks": self.kernel_ticks,
             "kernel": int(self._klib is not None),
             "bytes": self.bytes_used(),
         }

@@ -45,6 +45,14 @@ so both produce byte-identical tables, columns and edges.  Python
 still allocates every column and table, so array ownership and
 resizing stay on one side.
 
+**Answer extraction.**  ``bdd_models`` is the twin of the manager's
+``_models_py``: one call counts an edge's models over a list of levels
+(memoized per edge in a private hash map, 64-bit, with overflow
+reported so the manager can fall back to Python's exact integers) and
+writes a window of them, in lexicographic order with skipped levels
+expanded, as rows of select codes into a buffer the caller allocates.
+It only reads the node columns, so it needs no pause protocol.
+
 **Gating.**  ``load_kernel()`` memoizes a build attempt; if ``cffi``
 or a C compiler is missing, or ``REPRO_BDD_KERNEL=0`` is set, it
 returns ``None`` and the manager falls back to the pure-Python
@@ -116,6 +124,10 @@ int64_t bdd_compact_copy(const int32_t *var, const int64_t *lo,
                          const int64_t *hi, int64_t nvals,
                          const uint64_t *bits, int32_t *nvar, int64_t *nlo,
                          int64_t *nhi, int64_t *edges, int64_t nedges);
+int64_t bdd_models(const int32_t *var, const int64_t *lo, const int64_t *hi,
+                   const int32_t *pos, int64_t k, int64_t width, int64_t f,
+                   int64_t start, int64_t cap, int32_t *rows,
+                   uint64_t *count);
 """
 
 _SOURCE = r"""
@@ -601,6 +613,200 @@ int64_t bdd_compact_copy(const int32_t *var, const int64_t *lo,
 #undef REMAP
     free(rank);
     return 0;
+}
+
+/* ---- answer extraction -------------------------------------------------
+ * The twin of BddManager._models_py: one call counts the models of an
+ * edge over a list of k levels and writes a window of them as rows of
+ * select codes. */
+
+#define MODELS_OVERFLOW 1
+#define MODELS_UNLISTED 2
+#define MODELS_NOMEM 4
+#define MHASH(e, mask) ((((uint64_t)(e) * 0x9E3779B97F4A7C15ull) >> 29) \
+        & (uint64_t)(mask))
+
+typedef struct {
+    const int32_t *var;
+    const int64_t *lo;
+    const int64_t *hi;
+    const int32_t *pos;
+    int64_t k;
+    int64_t *keys;      /* memo, open addressed: edge (0 = empty) -> count */
+    uint64_t *vals;
+    int64_t mask;
+    int64_t used;
+    int flags;
+} Models;
+
+/* Position of an edge's top level in the list; k for the terminals. */
+static int64_t model_pos(Models *m, int64_t e)
+{
+    int64_t p;
+    if (e < 2)
+        return m->k;
+    p = m->pos[m->var[e >> 1]];
+    if (p < 0)
+        m->flags |= MODELS_UNLISTED;
+    return p;
+}
+
+static int memo_grow(Models *m)
+{
+    int64_t size = (m->mask + 1) << 1, i;
+    uint64_t slot;
+    int64_t *keys = calloc((size_t)size, sizeof(int64_t));
+    uint64_t *vals = malloc((size_t)size * sizeof(uint64_t));
+    if (!keys || !vals) {
+        free(keys);
+        free(vals);
+        m->flags |= MODELS_NOMEM;
+        return -1;
+    }
+    for (i = 0; i <= m->mask; i++) {
+        if (!m->keys[i])
+            continue;
+        slot = MHASH(m->keys[i], size - 1);
+        while (keys[slot])
+            slot = (slot + 1) & (uint64_t)(size - 1);
+        keys[slot] = m->keys[i];
+        vals[slot] = m->vals[i];
+    }
+    free(m->keys);
+    free(m->vals);
+    m->keys = keys;
+    m->vals = vals;
+    m->mask = size - 1;
+    return 0;
+}
+
+/* Models of ``e`` over positions model_pos(e)..k-1, memoized per edge (a
+ * node and its complement count differently).  Sets MODELS_OVERFLOW when
+ * a count passes 2**64 - 1; every reachable edge counts at most the total,
+ * so that happens exactly when the total does. */
+static uint64_t model_count(Models *m, int64_t e)
+{
+    int64_t n, comp, child, p, shift, side;
+    uint64_t slot, c, total = 0;
+    if (e < 2)
+        return (uint64_t)e;
+    slot = MHASH(e, m->mask);
+    while (m->keys[slot]) {
+        if (m->keys[slot] == e)
+            return m->vals[slot];
+        slot = (slot + 1) & (uint64_t)m->mask;
+    }
+    n = e >> 1;
+    comp = e & 1;
+    p = model_pos(m, e);
+    for (side = 0; side < 2; side++) {
+        child = (side ? m->hi[n] : m->lo[n]) ^ comp;
+        shift = model_pos(m, child) - p - 1;
+        if (m->flags & (MODELS_UNLISTED | MODELS_NOMEM))
+            return 0;
+        c = model_count(m, child);
+        if (!c)
+            continue;
+        if (shift >= 64 || c > (UINT64_MAX >> shift))
+            m->flags |= MODELS_OVERFLOW;
+        else if (__builtin_add_overflow(total, c << shift, &total))
+            m->flags |= MODELS_OVERFLOW;
+    }
+    if (((m->used + 1) << 1) > m->mask && memo_grow(m))
+        return 0;
+    slot = MHASH(e, m->mask);  /* the recursion may have grown the memo */
+    while (m->keys[slot])
+        slot = (slot + 1) & (uint64_t)m->mask;
+    m->keys[slot] = e;
+    m->vals[slot] = total;
+    m->used++;
+    return total;
+}
+
+/* Count the models of ``f`` over the k listed levels (``pos`` maps a
+ * level to its position in the list, -1 when unlisted; positions rise
+ * with the level) into count[0], with count[1] = 1 when the count does
+ * not fit 64 bits.  Then write rows start .. start + cap - 1 of the
+ * enumeration: models in lexicographic order of the positions, low branch
+ * first, levels the diagram skips expanded; a row is k / width codes, each
+ * packing ``width`` consecutive positions' values MSB first.  Returns the
+ * number of rows written, -1 when out of memory, or -2 when ``f`` tests a
+ * level that is not listed. */
+int64_t bdd_models(const int32_t *var, const int64_t *lo, const int64_t *hi,
+                   const int32_t *pos, int64_t k, int64_t width, int64_t f,
+                   int64_t start, int64_t cap, int32_t *rows,
+                   uint64_t *count)
+{
+    Models m = {var, lo, hi, pos, k, NULL, NULL, 63, 0, 0};
+    int64_t ncodes = k / width, top, p, e, child, g, seen = 0, written = 0;
+    int64_t *edge;
+    char *branch;
+    int32_t *code, bit, side;
+    uint64_t total;
+    m.keys = calloc(64, sizeof(int64_t));
+    m.vals = malloc(64 * sizeof(uint64_t));
+    if (!m.keys || !m.vals)
+        m.flags |= MODELS_NOMEM;
+    top = model_pos(&m, f);
+    total = m.flags ? 0 : model_count(&m, f);
+    if (total && (top >= 64 || total > (UINT64_MAX >> top)))
+        m.flags |= MODELS_OVERFLOW;
+    count[0] = total << (top < 64 ? top : 0);
+    count[1] = (m.flags & MODELS_OVERFLOW) != 0;
+    free(m.keys);
+    free(m.vals);
+    if (m.flags & MODELS_NOMEM)
+        return -1;
+    if (m.flags & MODELS_UNLISTED)
+        return -2;
+    if (f == 0 || cap <= 0)
+        return 0;
+    edge = malloc((size_t)(k + 1) * sizeof(int64_t));
+    branch = malloc((size_t)(k + 1));
+    code = calloc((size_t)(ncodes + 1), sizeof(int32_t));
+    if (!edge || !branch || !code) {
+        free(edge);
+        free(branch);
+        free(code);
+        return -1;
+    }
+    p = 0;
+    edge[0] = f;
+    branch[0] = 0;
+    while (p >= 0) {
+        if (p == k) {  /* edge[k] is TRUE: one model */
+            if (seen++ >= start) {
+                for (g = 0; g < ncodes; g++)
+                    rows[written * ncodes + g] = code[g];
+                if (++written == cap)
+                    break;
+            }
+            p--;
+            continue;
+        }
+        if (branch[p] == 2) {
+            p--;
+            continue;
+        }
+        side = branch[p]++;
+        e = edge[p];
+        if (e > 1 && pos[var[e >> 1]] == p)
+            child = (side ? hi[e >> 1] : lo[e >> 1]) ^ (e & 1);
+        else
+            child = e;  /* the diagram skips this level */
+        if (child == 0)
+            continue;
+        g = p / width;
+        bit = (int32_t)1 << (width - 1 - p % width);
+        code[g] = side ? (code[g] | bit) : (code[g] & ~bit);
+        edge[p + 1] = child;
+        branch[p + 1] = 0;
+        p++;
+    }
+    free(edge);
+    free(branch);
+    free(code);
+    return written;
 }
 """
 

@@ -38,6 +38,19 @@ class Circuit:
                     f"circuit only has {n_lines} lines"
                 )
 
+    @classmethod
+    def _trusted(cls, n_lines: int, gates: Tuple[Gate, ...]) -> "Circuit":
+        """A circuit from gates already known to fit ``n_lines``.
+
+        Skips the per-gate width check, for decoders that draw every
+        gate from a library built for ``n_lines`` (the BDD engine's
+        answer extraction builds thousands of circuits per query).
+        """
+        circuit = cls.__new__(cls)
+        circuit.n_lines = n_lines
+        circuit._gates = gates
+        return circuit
+
     # -- sequence protocol ----------------------------------------------------
 
     @property

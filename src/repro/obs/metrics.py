@@ -6,7 +6,9 @@ names are documented in ``docs/observability.md``:
 * ``bdd.*``    — BDD manager figures (``bdd.nodes``, ``bdd.ite_cache_hits``,
   ``bdd.quant_calls``, ``bdd.peak_nodes``, the table-bookkeeping
   counters ``bdd.utab_grows``, ``bdd.compactions``,
-  ``bdd.kernel_services`` and ``bdd.kernel_replays``, ...),
+  ``bdd.kernel_services``, ``bdd.kernel_replays`` and the pauses by
+  reason ``bdd.kernel_free_extends``, ``bdd.kernel_utab_grows``,
+  ``bdd.kernel_ticks``, ...),
 * ``sat.*``    — CDCL solver figures (``sat.conflicts``, ``sat.decisions``,
   ``sat.propagations``, ``sat.vars``, ``sat.clauses``, ...),
 * ``qbf.*``    — QBF solver figures including universal-expansion sizes,

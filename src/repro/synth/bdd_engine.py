@@ -25,7 +25,9 @@ up, which ablation A1 measures.
 
 from __future__ import annotations
 
+import itertools
 import time
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -41,9 +43,12 @@ __all__ = ["DepthOutcome", "BddSynthesisEngine"]
 
 #: Manager table-bookkeeping counters reported per depth as ``bdd.<name>``:
 #: unique-table doublings, compactions, native-kernel pauses serviced in
-#: place, and kernel calls unwound and replayed (auto-GC).
+#: place, kernel calls unwound and replayed (auto-GC), and the kernel's
+#: pauses by reason: free-list extension, unique-table growth, allocation
+#: tick.
 _BOOKKEEPING_COUNTERS = ("utab_grows", "compactions", "kernel_services",
-                         "kernel_replays")
+                         "kernel_replays", "kernel_free_extends",
+                         "kernel_utab_grows", "kernel_ticks")
 
 
 @dataclass
@@ -155,6 +160,11 @@ class BddSynthesisEngine:
         self.cancel_token = as_token(cancel_token)
         self.n = spec.n_lines
         self.width = library.select_bits()
+        # Answer extraction decodes select codes through the library's
+        # gate tuple and this table of their quantum costs (0 for the
+        # identity padding codes).
+        self._code_qc = [gate.quantum_cost(self.n) for gate in library]
+        self._code_qc += [0] * ((1 << self.width) - len(self._code_qc))
         if incremental:
             self._init_incremental()
 
@@ -436,50 +446,118 @@ class BddSynthesisEngine:
     def _extract(self, manager: BddManager, y_vars: Sequence[Sequence[int]],
                  solutions: int, depth: int, detail: Dict[str, object],
                  metrics: Dict[str, float]) -> DepthOutcome:
-        all_select = [v for block in y_vars for v in block]
-        count = manager.count_models(solutions, all_select) if all_select else 1
-        circuits: List[Circuit] = []
-        truncated = False
-        if all_select:
-            for model in manager.iter_models(solutions, all_select):
-                circuits.append(self._decode(model, y_vars))
-                if len(circuits) >= self.max_enumerate:
-                    truncated = len(circuits) < count
-                    break
-        else:  # depth 0: the identity circuit
-            circuits.append(Circuit(self.n))
-        costs = [c.quantum_cost() for c in circuits]
         metrics = dict(metrics)
-        metrics["bdd.solutions"] = count
+        if y_vars:
+            count, codes = self._select_codes(manager, solutions, y_vars)
+            circuits, costs = self._decode_rows(codes, len(y_vars))
+        else:  # depth 0: the identity circuit
+            count, circuits, costs = 1, [Circuit(self.n)], [0]
+        truncated = len(circuits) < count
         if truncated:
-            # min(costs)/max(costs) cover only the enumerated sample, not
-            # all `count` realizations — flag it rather than passing the
-            # sample range off as the paper's full QC spread.
-            detail = dict(detail)
-            detail["qc_range_sample_only"] = True
+            # The enumerated rows are only a sample of the `count`
+            # realizations; the exact range comes off the diagram.
+            qc_min, qc_max = self._qc_range(manager, solutions, y_vars)
+        else:
+            qc_min, qc_max = min(costs), max(costs)
+        metrics["bdd.solutions"] = count
         return DepthOutcome(
             status="sat",
             circuits=circuits,
             num_solutions=count,
-            quantum_cost_min=min(costs),
-            quantum_cost_max=max(costs),
+            quantum_cost_min=qc_min,
+            quantum_cost_max=qc_max,
             detail=detail,
             metrics=metrics,
             solutions_truncated=truncated,
         )
 
-    def _decode(self, model: Dict[int, bool],
-                y_vars: Sequence[Sequence[int]]) -> Circuit:
-        """Turn one Y-assignment into a circuit (padding codes = identity).
+    def _select_codes(self, manager: BddManager, solutions: int,
+                      y_vars: Sequence[Sequence[int]]) -> Tuple[int, array]:
+        """#SOL and up to ``max_enumerate`` models as select-code rows.
 
-        At the minimal depth no model contains a padding code (the
-        remaining gates would realize the function with fewer gates,
-        contradicting unsatisfiability one level down), but queries at
-        non-minimal depths legitimately decode shorter circuits.
+        One row per model, one code per cascade position, in the
+        lexicographic order of the select variable ids (the manager's
+        :meth:`~BddManager.model_codes`).  A manager without that walk
+        (the vendored v2 core the benchmark harness injects) gives the
+        same rows packed from its dict models.
         """
-        gates = []
-        for block in y_vars:
-            code = sum((1 << j) for j, var in enumerate(block) if model[var])
-            if code < self.library.size():
-                gates.append(self.library[code])
-        return Circuit(self.n, gates)
+        select = [v for block in y_vars for v in block]
+        walk = getattr(manager, "model_codes", None)
+        if walk is not None:
+            return walk(solutions, select, width=self.width,
+                        limit=self.max_enumerate)
+        codes = array("i")
+        for model in itertools.islice(manager.iter_models(solutions, select),
+                                      self.max_enumerate):
+            codes.extend(sum(1 << j for j, var in enumerate(block)
+                             if model[var]) for block in y_vars)
+        return manager.count_models(solutions, select), codes
+
+    def _decode_rows(self, codes: array,
+                     positions: int) -> Tuple[List[Circuit], List[int]]:
+        """Circuits and their quantum costs for rows of select codes.
+
+        Padding codes decode to identity slots.  At the minimal depth no
+        model contains one (the remaining gates would realize the
+        function with fewer gates, contradicting unsatisfiability one
+        level down), but queries at non-minimal depths legitimately
+        decode shorter circuits.
+        """
+        gate = self.library.gates.__getitem__
+        qc = self._code_qc.__getitem__
+        q = self.library.size()
+        circuits: List[Circuit] = []
+        costs: List[int] = []
+        for start in range(0, len(codes), positions):
+            row = codes[start:start + positions]
+            if max(row) >= q:
+                row = [code for code in row if code < q]
+            circuits.append(Circuit._trusted(self.n, tuple(map(gate, row))))
+            costs.append(sum(map(qc, row)))
+        return circuits, costs
+
+    def _qc_range(self, manager: BddManager, solutions: int,
+                  y_vars: Sequence[Sequence[int]]) -> Tuple[int, int]:
+        """Exact quantum-cost range over every model of ``solutions``.
+
+        A dynamic program over the solution BDD: the state is an edge,
+        the select position it is read at and the partial code read so
+        far inside that position's block; a completed code adds its
+        quantum cost from the per-code table.  Levels the diagram skips
+        take both values, as in enumeration.
+        """
+        select = sorted(v for block in y_vars for v in block)
+        position = {var: p for p, var in enumerate(select)}
+        k, width = len(select), self.width
+        qc_of = self._code_qc
+        memo: Dict[Tuple[int, int, int], Optional[Tuple[int, int]]] = {}
+
+        def span(edge: int, p: int, code: int) -> Optional[Tuple[int, int]]:
+            if edge == FALSE:
+                return None
+            if p == k:
+                return (0, 0)
+            key = (edge, p, code)
+            if key in memo:
+                return memo[key]
+            if (not manager.is_terminal(edge)
+                    and position[manager.top_var(edge)] == p):
+                children = (manager.low(edge), manager.high(edge))
+            else:
+                children = (edge, edge)
+            best = None
+            for bit, child in enumerate(children):
+                partial = (code << 1) | bit
+                if (p + 1) % width:
+                    sub = span(child, p + 1, partial)
+                else:
+                    sub = span(child, p + 1, 0)
+                    if sub is not None:
+                        sub = (sub[0] + qc_of[partial], sub[1] + qc_of[partial])
+                if sub is not None:
+                    best = sub if best is None else (min(best[0], sub[0]),
+                                                     max(best[1], sub[1]))
+            memo[key] = best
+            return best
+
+        return span(solutions, 0, 0)

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bdd.manager import FALSE
+from repro.core.circuit import Circuit
 from repro.core.library import GateLibrary
 from repro.core.spec import Specification
 from repro.synth.bdd_engine import BddSynthesisEngine, _Deadline
@@ -104,7 +105,8 @@ def synthesize_with_output_permutation(
     """
     if library is None:
         library = GateLibrary.from_kinds(spec.n_lines, kinds)
-    engine = BddSynthesisEngine(spec, library, compact_between_depths=False)
+    engine = BddSynthesisEngine(spec, library, compact_between_depths=False,
+                                max_enumerate=max_enumerate)
     n = spec.n_lines
     manager = engine.manager
     limit = max_gates if max_gates is not None else default_gate_limit(n)
@@ -144,17 +146,15 @@ def synthesize_with_output_permutation(
             # Extract circuits per winning permutation.
             result.status = "realized"
             result.depth = depth
-            all_select = [v for block in engine.y_vars for v in block]
+            costs: List[int] = []
             for permutation, solutions in winning.items():
-                circuits = []
-                if all_select:
-                    for model in manager.iter_models(solutions, all_select):
-                        circuits.append(engine._decode(model, engine.y_vars))
-                        if len(circuits) >= max_enumerate:
-                            break
+                if engine.y_vars:
+                    _, codes = engine._select_codes(manager, solutions,
+                                                    engine.y_vars)
+                    circuits, row_costs = engine._decode_rows(
+                        codes, len(engine.y_vars))
                 else:
-                    from repro.core.circuit import Circuit
-                    circuits.append(Circuit(n))
+                    circuits, row_costs = [Circuit(n)], [0]
                 for circuit in circuits:
                     if not _permuted_matches(spec, circuit, permutation):
                         raise AssertionError(
@@ -162,9 +162,7 @@ def synthesize_with_output_permutation(
                             "circuit — encoding bug")
                 result.realizations[permutation] = circuits
                 result.num_solutions += len(circuits)
-            costs = [c.quantum_cost()
-                     for circuits in result.realizations.values()
-                     for c in circuits]
+                costs.extend(row_costs)
             result.quantum_cost_min = min(costs)
             break
     except TimeoutError:

@@ -94,8 +94,37 @@ class TestExtraction:
         assert outcome.solutions_truncated
         assert len(outcome.circuits) == 3
         assert outcome.num_solutions > 3
-        # The QC range covers only the 3-circuit sample, and says so.
-        assert outcome.detail["qc_range_sample_only"] is True
+        # The QC range comes off the diagram, not the 3-circuit sample:
+        # it equals the range of the full enumeration.
+        full = BddSynthesisEngine(SPEC_317, GateLibrary.mct(3))
+        for depth in range(7):
+            complete = full.decide(depth)
+        assert not complete.solutions_truncated
+        assert (outcome.quantum_cost_min, outcome.quantum_cost_max) == (
+            complete.quantum_cost_min, complete.quantum_cost_max)
+
+    def test_managers_without_the_code_walk_give_the_same_rows(self):
+        # A manager with only count_models/iter_models (the vendored v2
+        # core the benchmark harness injects) packs the same select-code
+        # rows from its dict models.
+        class DictModelsOnly:
+            def __init__(self, manager):
+                self.count_models = manager.count_models
+                self.iter_models = manager.iter_models
+
+        engine = BddSynthesisEngine(SPEC_317, GateLibrary.mct(3),
+                                    compact_between_depths=False,
+                                    max_enumerate=5)
+        for depth in range(7):
+            engine.decide(depth)
+        manager = engine.manager
+        solutions = manager.match_forall(engine.lines, engine.on_bdds,
+                                         engine.dc_bdds, engine.n)
+        native = engine._select_codes(manager, solutions, engine.y_vars)
+        packed = engine._select_codes(DictModelsOnly(manager), solutions,
+                                      engine.y_vars)
+        assert native == packed
+        assert native[0] == 7 and len(native[1]) == 5 * 6
 
     def test_full_enumeration_has_no_sample_flag(self):
         engine = BddSynthesisEngine(SPEC_317, GateLibrary.mct(3))
@@ -111,8 +140,10 @@ class TestExtraction:
         result = synthesize(SPEC_317, engine="bdd", max_enumerate=2)
         record = build_run_record(result)
         assert validate_run_record(record) == []
-        final = record["per_depth"][-1]
-        assert final["detail"]["qc_range_sample_only"] is True
+        assert record["solutions_truncated"] is True
+        complete = synthesize(SPEC_317, engine="bdd")
+        assert (record["quantum_cost_min"], record["quantum_cost_max"]) == (
+            complete.quantum_cost_min, complete.quantum_cost_max)
 
     def test_non_minimal_depth_decodes_shorter_circuits(self):
         # MCT(3) has q = 12 < 16: padding codes exist, so deciding depth 2

@@ -22,6 +22,11 @@ from repro.synth import synthesize
 from repro.synth.bdd_engine import BddSynthesisEngine
 
 
+#: The kernel-pause counters by reason.
+REASONS = ("bdd.kernel_free_extends", "bdd.kernel_utab_grows",
+           "bdd.kernel_ticks")
+
+
 def _canonical(result):
     return json.dumps(obs.canonical_record(obs.build_run_record(result)),
                       sort_keys=True)
@@ -122,9 +127,30 @@ class TestMemoryMetrics:
         assert (services > 0) == kernel_available()
         record = obs.build_run_record(result)
         canonical = obs.canonical_record(record)["metrics"]
-        for key in ("bdd.kernel_services", "bdd.kernel_replays"):
+        for key in ("bdd.kernel_services", "bdd.kernel_replays",
+                    *REASONS):
             assert key in record["metrics"]
             assert key not in canonical
+
+    def test_kernel_pauses_split_by_reason_per_depth(self):
+        # The services split into free-list extensions, unique-table
+        # doublings and allocation ticks; a pause after an insert may
+        # both grow the table and fire the tick, so the reasons cover
+        # every service and may count one twice.  The fallback has no
+        # kernel pauses at all.
+        from repro.bdd.tables import kernel_available
+        result = synthesize(get_spec("mod5d1_s"), engine="bdd")
+        for stat in result.per_depth:
+            reasons = sum(stat.metrics[key] for key in REASONS)
+            services = stat.metrics["bdd.kernel_services"]
+            assert services <= reasons <= 2 * services
+        totals = {key: result.metrics[key] for key in REASONS}
+        if kernel_available():
+            assert totals["bdd.kernel_free_extends"] > 0
+            assert totals["bdd.kernel_utab_grows"] > 0
+            assert totals["bdd.kernel_ticks"] > 0
+        else:
+            assert set(totals.values()) == {0}
 
     def test_bdd_bytes_and_counters_reach_the_record(self):
         result = synthesize(get_spec("3_17"), engine="bdd",
